@@ -82,9 +82,23 @@ pub fn evaluate_ir_map_traced(
     warm: Option<&[f64]>,
     recorder: &mut dyn Recorder,
 ) -> Result<Option<IrMap>, CoreError> {
+    let Some(ring) = replicated_ring(quadrant, assignment, NetKind::Power)? else {
+        return Ok(None);
+    };
+    Ok(Some(solve_sor_warm_traced(grid, &ring, warm, recorder)?))
+}
+
+/// The die's pad ring for the nets of `kind`: each net's finger position
+/// replicated onto all four sides, as in the paper's symmetric test
+/// circuits. `None` when the quadrant has no such nets.
+fn replicated_ring(
+    quadrant: &Quadrant,
+    assignment: &Assignment,
+    kind: NetKind,
+) -> Result<Option<PadRing>, CoreError> {
     let alpha = assignment.finger_count() as f64;
     let mut ts = Vec::new();
-    for net in quadrant.nets_of_kind(NetKind::Power) {
+    for net in quadrant.nets_of_kind(kind) {
         let pos = assignment
             .position_of(net)
             .ok_or(copack_route::RouteError::Unplaced { net })?;
@@ -96,8 +110,7 @@ pub fn evaluate_ir_map_traced(
     if ts.is_empty() {
         return Ok(None);
     }
-    let ring = PadRing::from_ts(ts)?;
-    Ok(Some(solve_sor_warm_traced(grid, &ring, warm, recorder)?))
+    Ok(Some(PadRing::from_ts(ts)?))
 }
 
 /// Worst-case supply noise of a full Vdd + ground rail pair.
@@ -130,23 +143,7 @@ pub fn evaluate_supply_noise(
     assignment: &Assignment,
     grid: &GridSpec,
 ) -> Result<Option<SupplyNoise>, CoreError> {
-    let alpha = assignment.finger_count() as f64;
-    let ring_of = |kind: NetKind| -> Result<Option<PadRing>, CoreError> {
-        let mut ts = Vec::new();
-        for net in quadrant.nets_of_kind(kind) {
-            let pos = assignment
-                .position_of(net)
-                .ok_or(copack_route::RouteError::Unplaced { net })?;
-            let frac = (pos.get() as f64 - 0.5) / alpha;
-            for side in 0..4u32 {
-                ts.push((f64::from(side) + frac) / 4.0);
-            }
-        }
-        if ts.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(PadRing::from_ts(ts)?))
-    };
+    let ring_of = |kind| replicated_ring(quadrant, assignment, kind);
     let (Some(power), Some(ground)) = (ring_of(NetKind::Power)?, ring_of(NetKind::Ground)?) else {
         return Ok(None);
     };

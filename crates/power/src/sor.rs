@@ -102,27 +102,53 @@ pub fn solve_sor_nodes_warm_traced(
     guess: Option<&[f64]>,
     recorder: &mut dyn Recorder,
 ) -> Result<IrMap, PowerError> {
+    solve_capped(spec, clamp, guess, recorder, MAX_SWEEPS)
+}
+
+/// [`solve_sor_nodes_warm_traced`] with an explicit sweep cap.
+fn solve_capped(
+    spec: &GridSpec,
+    clamp: &[(usize, usize)],
+    guess: Option<&[f64]>,
+    recorder: &mut dyn Recorder,
+    max_sweeps: usize,
+) -> Result<IrMap, PowerError> {
     spec.validate()?;
     let (nx, ny) = (spec.nx, spec.ny);
     let n = spec.node_count();
-    let mut clamped = vec![false; n];
+    let mut nodes: Vec<Node> = (0..ny)
+        .flat_map(|j| {
+            (0..nx).map(move |i| {
+                if i > 0 && i + 1 < nx && j > 0 && j + 1 < ny {
+                    Node::Interior
+                } else {
+                    Node::Edge
+                }
+            })
+        })
+        .collect();
     for &(i, j) in clamp {
-        clamped[spec.idx(i, j)] = true;
+        nodes[spec.idx(i, j)] = Node::Clamped;
     }
-
-    let gx = spec.gx();
-    let gy = spec.gy();
     let sinks: Vec<f64> = (0..n)
         .map(|p| spec.node_current_at(p % nx, p / nx))
         .collect();
-    let omega = 2.0 / (1.0 + (std::f64::consts::PI / nx.max(ny) as f64).sin());
+    let stencil = Stencil {
+        nx,
+        ny,
+        gx: spec.gx(),
+        gy: spec.gy(),
+        omega: 2.0 / (1.0 + (std::f64::consts::PI / nx.max(ny) as f64).sin()),
+        nodes: &nodes,
+        sinks: &sinks,
+    };
 
     let mut v = match guess {
         Some(g) if g.len() == n => {
             let mut v = g.to_vec();
             // The clamp set may differ from the guess's solve; re-pin pads.
-            for (p, &is_clamped) in clamped.iter().enumerate() {
-                if is_clamped {
+            for (p, node) in nodes.iter().enumerate() {
+                if matches!(node, Node::Clamped) {
                     v[p] = spec.vdd;
                 }
             }
@@ -131,51 +157,22 @@ pub fn solve_sor_nodes_warm_traced(
         _ => vec![spec.vdd; n],
     };
     let rec_on = recorder.enabled();
-    for sweep in 0..MAX_SWEEPS {
-        let mut max_delta: f64 = 0.0;
-        for j in 0..ny {
-            for i in 0..nx {
-                let p = spec.idx(i, j);
-                if clamped[p] {
-                    continue;
-                }
-                let mut num = -sinks[p];
-                let mut den = 0.0;
-                if i > 0 {
-                    num += gx * v[p - 1];
-                    den += gx;
-                }
-                if i + 1 < nx {
-                    num += gx * v[p + 1];
-                    den += gx;
-                }
-                if j > 0 {
-                    num += gy * v[p - nx];
-                    den += gy;
-                }
-                if j + 1 < ny {
-                    num += gy * v[p + nx];
-                    den += gy;
-                }
-                let v_gs = num / den;
-                let delta = omega * (v_gs - v[p]);
-                v[p] += delta;
-                max_delta = max_delta.max(delta.abs());
-            }
-        }
+    let mut residual = f64::INFINITY;
+    for sweep in 0..max_sweeps {
+        residual = stencil.sweep(&mut v);
         if rec_on {
             recorder.record(&Event::SolverSweep {
                 solver: Solver::Sor,
                 sweep: sweep as u32,
-                residual: max_delta,
+                residual,
             });
         }
-        if max_delta < TOL {
+        if residual < TOL {
             if rec_on {
                 recorder.record(&Event::SolverDone {
                     solver: Solver::Sor,
                     sweeps: (sweep + 1) as u32,
-                    residual: max_delta,
+                    residual,
                     converged: true,
                 });
             }
@@ -185,19 +182,129 @@ pub fn solve_sor_nodes_warm_traced(
     if rec_on {
         recorder.record(&Event::SolverDone {
             solver: Solver::Sor,
-            sweeps: MAX_SWEEPS as u32,
-            residual: TOL,
+            sweeps: max_sweeps as u32,
+            residual,
             converged: false,
         });
     }
     Err(PowerError::NoConvergence {
-        iterations: MAX_SWEEPS,
-        residual: TOL,
+        iterations: max_sweeps,
+        residual,
     })
+}
+
+/// Rows per band of the skewed sweep (see [`Stencil::sweep`]).
+const BAND: usize = 16;
+
+/// How a grid node relaxes.
+#[derive(Clone, Copy)]
+enum Node {
+    /// Free, with all four neighbours on the grid.
+    Interior,
+    /// Free, on the die boundary: the terms of missing neighbours drop out.
+    Edge,
+    /// Pinned to `Vdd` under a pad; never updated.
+    Clamped,
+}
+
+/// The discretised Eq. 1 on one grid, as the SOR sweep reads it.
+struct Stencil<'a> {
+    nx: usize,
+    ny: usize,
+    gx: f64,
+    gy: f64,
+    omega: f64,
+    nodes: &'a [Node],
+    sinks: &'a [f64],
+}
+
+impl Stencil<'_> {
+    /// One SOR sweep over `v`; returns the largest voltage update.
+    ///
+    /// The result is bit-identical to a row-major Gauss–Seidel sweep
+    /// (`for j { for i { .. } }`), but the nodes are visited in skewed
+    /// bands so the CPU can overlap their updates. Rows go in bands of
+    /// [`BAND`]; at step `t`, band row `r` updates column `t − r`. Every
+    /// update still sees its left and lower neighbours already updated
+    /// this sweep and its right and upper neighbours not yet updated,
+    /// exactly as in row-major order, and runs the same arithmetic in the
+    /// same order. The updates of one step are independent, so their
+    /// dependency chains (each ending in a divide) run side by side
+    /// instead of one after another. Each band row keeps its own running
+    /// maximum, folded after the sweep: a maximum is exact in any order,
+    /// and one shared accumulator would chain the rows again.
+    ///
+    /// Interior nodes skip the edge path's four bounds tests; their sum is
+    /// the edge path's with every term present, in the same order.
+    // Out of line: inlined into the solve loop it ran ~15 % slower.
+    #[inline(never)]
+    fn sweep(&self, v: &mut [f64]) -> f64 {
+        let Self {
+            nx,
+            ny,
+            gx,
+            gy,
+            omega,
+            nodes,
+            sinks,
+        } = *self;
+        // The edge path's denominator with all four terms present
+        // (`0.0 + gx` is exactly `gx`).
+        let interior_den = gx + gx + gy + gy;
+        let mut row_maxima = [0.0f64; BAND];
+        for j0 in (0..ny).step_by(BAND) {
+            let h = BAND.min(ny - j0);
+            for t in 0..nx + h - 1 {
+                // Band rows whose column `t - r` is on the grid.
+                let first = t.saturating_sub(nx - 1);
+                for (r, row_max) in (first..).zip(&mut row_maxima[first..h.min(t + 1)]) {
+                    let (i, j) = (t - r, j0 + r);
+                    let p = j * nx + i;
+                    let delta = match nodes[p] {
+                        Node::Interior => {
+                            let num = -sinks[p]
+                                + gx * v[p - 1]
+                                + gx * v[p + 1]
+                                + gy * v[p - nx]
+                                + gy * v[p + nx];
+                            omega * (num / interior_den - v[p])
+                        }
+                        Node::Edge => {
+                            let mut num = -sinks[p];
+                            let mut den = 0.0;
+                            if i > 0 {
+                                num += gx * v[p - 1];
+                                den += gx;
+                            }
+                            if i + 1 < nx {
+                                num += gx * v[p + 1];
+                                den += gx;
+                            }
+                            if j > 0 {
+                                num += gy * v[p - nx];
+                                den += gy;
+                            }
+                            if j + 1 < ny {
+                                num += gy * v[p + nx];
+                                den += gy;
+                            }
+                            omega * (num / den - v[p])
+                        }
+                        Node::Clamped => continue,
+                    };
+                    v[p] += delta;
+                    *row_max = row_max.max(delta.abs());
+                }
+            }
+        }
+        row_maxima.into_iter().fold(0.0, f64::max)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use copack_obs::TraceBuffer;
+
     use super::*;
 
     #[test]
@@ -294,6 +401,42 @@ mod tests {
         let short_guess = vec![spec.vdd; 7];
         let warm = solve_sor_warm(&spec, &ring, Some(&short_guess)).unwrap();
         assert_eq!(warm.voltages(), cold.voltages());
+    }
+
+    #[test]
+    fn a_stalled_solve_reports_its_last_residual() {
+        let spec = GridSpec::default_chip(16);
+        let clamp = PadRing::uniform(4).clamp_nodes(&spec);
+        let mut trace = TraceBuffer::new();
+        let err = solve_capped(&spec, &clamp, None, &mut trace, 3).unwrap_err();
+        let residuals: Vec<f64> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::SolverSweep { residual, .. } => Some(residual),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(residuals.len(), 3);
+        let last = residuals[2];
+        assert!(last > TOL, "3 sweeps must not converge");
+        assert_eq!(
+            err,
+            PowerError::NoConvergence {
+                iterations: 3,
+                residual: last
+            }
+        );
+        assert!(err.to_string().contains(&format!("{last:.3e}")), "{err}");
+        assert_eq!(
+            trace.events().last(),
+            Some(&Event::SolverDone {
+                solver: Solver::Sor,
+                sweeps: 3,
+                residual: last,
+                converged: false,
+            })
+        );
     }
 
     #[test]
