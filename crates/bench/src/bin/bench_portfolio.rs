@@ -285,7 +285,7 @@ fn main() {
             modes[2].cost,
         );
 
-        let _ = write!(json, "    {{\"name\": \"{}\",\n", circuit.name);
+        let _ = writeln!(json, "    {{\"name\": \"{}\",", circuit.name);
         json.push_str("     \"quality_vs_starts\": [");
         for (j, s) in quality.iter().enumerate() {
             if j > 0 {
@@ -440,7 +440,7 @@ fn bench_large(json: &mut String) {
             spec.name, modes[0].cost, modes[1].cost, modes[2].cost
         );
 
-        let _ = write!(json, "    {{\"name\": \"{}\",\n", spec.name);
+        let _ = writeln!(json, "    {{\"name\": \"{}\",", spec.name);
         if let Some(scaling) = &scaling {
             json.push_str("     \"wall_clock_vs_threads\": [");
             for (j, s) in scaling.iter().enumerate() {

@@ -10,7 +10,7 @@
 use copack_geom::{Assignment, NetKind, Package, Quadrant, QuadrantSide};
 use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
 use copack_power::{solve_sor_warm_traced, GridSpec, PadRing};
-use copack_route::{analyze, cutline_congestion, CutlineReport, RoutingReport};
+use copack_route::{analyze, CutlineReport, RoutingReport};
 
 use crate::{assign, exchange_traced, Codesign, CoreError, ExchangeResult};
 
@@ -240,13 +240,14 @@ pub fn plan_package_traced(
         routing.push(report);
     }
     let finals: [Assignment; 4] = finals.try_into().expect("four quadrants");
+    let routing: [RoutingReport; 4] = routing.try_into().expect("four quadrants");
     let ir_after = evaluate_package_ir_traced(package, &finals, &config.grid, recorder)?;
-    let cutlines = cutline_congestion(package, &finals, config.density_model)?;
-
-    let _ = QuadrantSide::ALL; // order contract documented above
+    // Each side's analysis already measured its flanks under the package's
+    // density model: the same figures `cutline_congestion` recomputes.
+    let cutlines = CutlineReport::from_flanks(std::array::from_fn(|k| routing[k].flanks));
     Ok(PackageReport {
         assignments: finals,
-        routing: routing.try_into().expect("four quadrants"),
+        routing,
         ir_before,
         ir_after,
         cutlines,

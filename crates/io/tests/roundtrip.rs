@@ -127,7 +127,7 @@ fn tune_profile_strategy() -> impl Strategy<Value = TuneProfile> {
                     classes.push((key, config));
                 }
             }
-            classes.sort_by(|a, b| a.0.cmp(&b.0));
+            classes.sort_by_key(|a| a.0);
             TuneProfile {
                 seed,
                 space_fingerprint,
@@ -205,9 +205,8 @@ proptest! {
         // *different* profile: either the checksum (or structure)
         // rejects it, or the mutation was semantically neutral and
         // re-serialises to the identical document.
-        match String::from_utf8(bytes).ok().map(|s| parse_tune(&s)) {
-            Some(Ok(reparsed)) => prop_assert_eq!(write_tune(&reparsed), text),
-            _ => {}
+        if let Some(Ok(reparsed)) = String::from_utf8(bytes).ok().map(|s| parse_tune(&s)) {
+            prop_assert_eq!(write_tune(&reparsed), text);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use copack_geom::{Assignment, FingerIdx, NetId, Quadrant, RowIdx};
 
-use crate::{check_monotonic, RouteError, ViaPlan};
+use crate::{check_monotonic, RouteError, ViaPlan, ViaRef};
 
 /// One wire crossing a horizontal grid line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,12 +50,15 @@ const EPS_FRACTION: f64 = 1e-3;
 /// Computes the crossings of every horizontal line of the quadrant, highest
 /// line first.
 ///
-/// The assignment must be complete and monotonic-legal.
+/// The assignment must be complete and monotonic-legal. Each placed net's
+/// via is looked up once per call; every line is then one sweep over the
+/// nets in finger order, in `O(lines × wires)` overall.
 ///
 /// # Errors
 ///
 /// * [`RouteError::NonMonotonic`] / [`RouteError::Unplaced`] from the
 ///   legality pre-check.
+/// * [`RouteError::Unplaced`] for a placed net missing from `plan`.
 pub fn line_crossings(
     quadrant: &Quadrant,
     assignment: &Assignment,
@@ -75,6 +78,13 @@ pub fn line_crossings(
     let alpha = quadrant.finger_count() as u32;
     half_w = half_w.max(quadrant.finger_center(FingerIdx::new(alpha)).x.abs());
     let bound = half_w + pitch;
+
+    // Every placed net with its via, in finger order. A net missing from
+    // the plan is reported when the top line's sweep reaches it.
+    let wires: Vec<(FingerIdx, NetId, Option<ViaRef>)> = assignment
+        .iter()
+        .map(|(finger, net)| (finger, net, plan.via(net).ok()))
+        .collect();
 
     let finger_y = quadrant.finger_line_y();
     let mut out = Vec::with_capacity(quadrant.row_count());
@@ -102,29 +112,33 @@ pub fn line_crossings(
             .collect::<Result<_, RouteError>>()?;
 
         // Crossing nets: via strictly below this line, in finger order.
+        // The forced span lies between the terminating vias bracketing the
+        // finger position. `term_pos` rises strictly in finger order, so
+        // two cursors that only move forward find them: `below` counts the
+        // terminating positions left of the finger, `upto` those not right
+        // of it. They differ only for a net that both terminates and
+        // crosses here, which a plan of another quadrant can produce.
+        let (mut below, mut upto) = (0, 0);
         let mut crossings = Vec::new();
-        for (finger, net) in assignment.iter() {
-            let via = plan.via(net)?;
+        for &(finger, net, via) in &wires {
+            let via = via.ok_or(RouteError::Unplaced { net })?;
             if via.row >= row {
                 continue;
+            }
+            let p = finger.get();
+            while below < term_pos.len() && term_pos[below].0 < p {
+                below += 1;
+            }
+            while upto < term_pos.len() && term_pos[upto].0 <= p {
+                upto += 1;
             }
             let fx = quadrant.finger_center(finger).x;
             let (vx, vy) = (via.pos.x, via.pos.y);
             // Straight flyline finger → via, evaluated at this line.
             let t = (finger_y - line_y) / (finger_y - vy);
             let ideal = fx + (vx - fx) * t;
-            // Forced span: between the terminating vias bracketing the
-            // finger position.
-            let p = finger.get();
-            let lo = term_pos
-                .iter()
-                .rev()
-                .find(|&&(tp, _)| tp < p)
-                .map_or(-bound, |&(_, vx)| vx);
-            let hi = term_pos
-                .iter()
-                .find(|&&(tp, _)| tp > p)
-                .map_or(bound, |&(_, vx)| vx);
+            let lo = below.checked_sub(1).map_or(-bound, |i| term_pos[i].1);
+            let hi = term_pos.get(upto).map_or(bound, |&(_, vx)| vx);
             let x = ideal.clamp(lo + eps, hi - eps);
             crossings.push(Crossing {
                 net,

@@ -11,7 +11,7 @@
 use copack_geom::{Assignment, Package};
 use serde::{Deserialize, Serialize};
 
-use crate::{density_map, DensityModel, RouteError};
+use crate::{density_map, DensityMap, DensityModel, RouteError};
 
 /// Flank wire counts of one quadrant: wires crossing left of the first via
 /// site and right of the last, maximised over its horizontal lines.
@@ -21,6 +21,20 @@ pub struct FlankLoad {
     pub left: u32,
     /// Worst per-line count in the right flank region.
     pub right: u32,
+}
+
+impl FlankLoad {
+    /// The flank loads of a quadrant's density map: the worst first and
+    /// last (unbounded) segment counts over its lines.
+    #[must_use]
+    pub fn of(map: &DensityMap) -> Self {
+        let mut load = Self { left: 0, right: 0 };
+        for row in &map.rows {
+            load.left = load.left.max(*row.counts.first().unwrap_or(&0));
+            load.right = load.right.max(*row.counts.last().unwrap_or(&0));
+        }
+        load
+    }
 }
 
 /// Cut-line congestion of a full package.
@@ -34,6 +48,15 @@ pub struct CutlineReport {
 }
 
 impl CutlineReport {
+    /// The package's cut-line congestion from its per-side flank loads (in
+    /// [`copack_geom::QuadrantSide::ALL`] order), e.g. the
+    /// [`crate::RoutingReport::flanks`] of the four sides.
+    #[must_use]
+    pub fn from_flanks(flanks: [FlankLoad; 4]) -> Self {
+        let boundaries = std::array::from_fn(|k| flanks[k].right + flanks[(k + 1) % 4].left);
+        Self { flanks, boundaries }
+    }
+
     /// The worst shared cut-line congestion.
     #[must_use]
     pub fn max(&self) -> u32 {
@@ -55,20 +78,9 @@ pub fn cutline_congestion(
     let mut flanks = [FlankLoad { left: 0, right: 0 }; 4];
     for (side, quadrant) in package.quadrants() {
         let map = density_map(quadrant, &assignments[side.index()], model)?;
-        let mut left = 0u32;
-        let mut right = 0u32;
-        for row in &map.rows {
-            left = left.max(*row.counts.first().unwrap_or(&0));
-            right = right.max(*row.counts.last().unwrap_or(&0));
-        }
-        flanks[side.index()] = FlankLoad { left, right };
+        flanks[side.index()] = FlankLoad::of(&map);
     }
-    let mut boundaries = [0u32; 4];
-    for k in 0..4 {
-        let next = (k + 1) % 4;
-        boundaries[k] = flanks[k].right + flanks[next].left;
-    }
-    Ok(CutlineReport { flanks, boundaries })
+    Ok(CutlineReport::from_flanks(flanks))
 }
 
 #[cfg(test)]

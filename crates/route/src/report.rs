@@ -5,7 +5,7 @@ use std::fmt;
 use copack_geom::{Assignment, Quadrant};
 use serde::{Deserialize, Serialize};
 
-use crate::{check_monotonic, density_map, total_wirelength, DensityModel, RouteError};
+use crate::{check_monotonic, density_map, total_wirelength, DensityModel, FlankLoad, RouteError};
 
 /// Summary of a routed (analysed) assignment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -19,6 +19,9 @@ pub struct RoutingReport {
     pub max_density_row: u32,
     /// Maximum density per line, highest line first, as `(row, max)`.
     pub per_row_max: Vec<(u32, u32)>,
+    /// Worst flank (cut-line region) wire counts; see
+    /// [`crate::CutlineReport::from_flanks`].
+    pub flanks: FlankLoad,
     /// Total flyline wirelength (µm).
     pub total_wirelength: f64,
     /// Number of routed nets.
@@ -62,6 +65,7 @@ pub fn analyze(
             .iter()
             .map(|r| (r.row.get(), r.max()))
             .collect(),
+        flanks: FlankLoad::of(&density),
         total_wirelength: wirelength,
         nets: assignment.net_count(),
         model,

@@ -59,7 +59,7 @@ impl ModelLru {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// After every operation the cache's resident set, recency order,
     /// and byte accounting match the reference model, and the byte

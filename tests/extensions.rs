@@ -2,13 +2,16 @@
 //! cut-line analysis, via rules, flip-chip pads, hotspots, dual-rail noise,
 //! the package view, and the text formats.
 
-use copack::core::{assign, evaluate_supply_noise, AssignMethod};
-use copack::gen::circuit;
-use copack::geom::{Assignment, Package};
+use copack::core::{
+    assign, evaluate_supply_noise, plan_package, AssignMethod, Codesign, ExchangeConfig, Schedule,
+};
+use copack::gen::{circuit, circuits, large_circuit};
+use copack::geom::{Assignment, Package, StackConfig};
 use copack::io::{parse_assignment, parse_quadrant, write_assignment, write_quadrant};
 use copack::power::{solve_plan, GridSpec, Hotspot, PadArray, PadPlan, PadRing, Solver};
 use copack::route::{
-    cutline_congestion, density_map, density_map_with_plan, via_plan_with, DensityModel, ViaRule,
+    cutline_congestion, density_map, density_map_with_plan, via_plan_with, DensityModel, FlankLoad,
+    ViaRule,
 };
 use copack::viz::package_svg;
 
@@ -175,4 +178,81 @@ fn mixed_assignment_packages_report_asymmetric_cutlines() {
     let report = cutline_congestion(&package, &sides, DensityModel::Geometric).expect("routable");
     let distinct: std::collections::HashSet<u32> = report.boundaries.iter().copied().collect();
     assert!(distinct.len() > 1);
+}
+
+fn fast_package_flow(stack: StackConfig, model: DensityModel, threads: usize) -> Codesign {
+    Codesign {
+        grid: GridSpec::default_chip(16),
+        exchange: ExchangeConfig {
+            schedule: Schedule {
+                moves_per_temp_per_finger: 1,
+                final_temp_ratio: 1e-2,
+                cooling: 0.85,
+                ..Schedule::default()
+            },
+            ..ExchangeConfig::default()
+        },
+        stack,
+        density_model: model,
+        threads,
+        ..Codesign::default()
+    }
+}
+
+/// The Table 1 circuits (planar) and two large-1k presets (at their ψ),
+/// each as a uniform package.
+fn table1_and_large_1k_packages() -> Vec<(String, Package, StackConfig)> {
+    let mut out: Vec<_> = circuits()
+        .into_iter()
+        .map(|c| {
+            let quadrant = c.build_quadrant().expect("Table 1 circuits build");
+            (c.name, Package::uniform(quadrant), StackConfig::planar())
+        })
+        .collect();
+    for seed in [1, 2] {
+        let spec = large_circuit("1k", seed).expect("1k is a preset size");
+        let quadrant = spec.build_quadrant().expect("large-1k builds");
+        let stack = spec.stack().expect("preset stack");
+        out.push((
+            format!("{} seed {seed}", spec.name),
+            Package::uniform(quadrant),
+            stack,
+        ));
+    }
+    out
+}
+
+#[test]
+fn package_cutlines_equal_a_fresh_measurement() {
+    // plan_package reads the cut-line congestion off its four side reports
+    // instead of routing each side again. The figures must equal what
+    // cutline_congestion measures on the final orders, and every side's
+    // flanks those of its own density map, under both density models and
+    // any thread count.
+    let mut loaded = 0;
+    for (name, package, stack) in table1_and_large_1k_packages() {
+        for model in [DensityModel::Geometric, DensityModel::OrderOnly] {
+            let mut reports = Vec::new();
+            for threads in [1, 2] {
+                let what = format!("{name} {model} threads {threads}");
+                let report =
+                    plan_package(&package, &fast_package_flow(stack, model, threads)).expect(&what);
+                let fresh = cutline_congestion(&package, &report.assignments, model).expect(&what);
+                assert_eq!(report.cutlines, fresh, "{what}");
+                for (side, quadrant) in package.quadrants() {
+                    let k = side.index();
+                    let map = density_map(quadrant, &report.assignments[k], model).expect(&what);
+                    assert_eq!(
+                        report.routing[k].flanks,
+                        FlankLoad::of(&map),
+                        "{what} {side:?}"
+                    );
+                }
+                loaded += usize::from(report.cutlines.max() > 0);
+                reports.push(report);
+            }
+            assert_eq!(reports[0], reports[1], "{name} {model}: thread count");
+        }
+    }
+    assert!(loaded > 0, "no package loads its cut-lines");
 }
