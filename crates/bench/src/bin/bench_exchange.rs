@@ -1,8 +1,13 @@
 //! Machine-readable exchange-kernel benchmark: runs the incremental
 //! [`exchange`] and the from-scratch [`exchange_reference`] on every
-//! Table 1 circuit (ψ = 1 and ψ = 4), checks they produce identical
-//! results, and writes wall time and moves/second per configuration to
+//! Table 1 circuit (ψ = 1 and ψ = 4) and on the large-1k/4k presets,
+//! checks they produce identical results, and writes per-row timings to
 //! `BENCH_exchange.json` for tracking across commits.
+//!
+//! Every row records its repetition count and the min, median and p90
+//! wall seconds per run (kernel and reference runs interleaved, after one
+//! untimed warm-up each); moves/second and the speedup come from the
+//! medians. The file also records the host's core count.
 //!
 //! The runs are strictly serial — concurrent timing on a shared machine
 //! would corrupt the numbers.
@@ -19,57 +24,124 @@ use copack_gen::{circuits, large_circuit};
 use copack_geom::{Assignment, Quadrant, StackConfig};
 use copack_obs::{replay_final_cost, split_runs, JsonlSink, TraceBuffer};
 
-/// One timed run: wall seconds and the proposed-move count.
+/// Timed repetitions per Table 1 row (a run takes a few milliseconds).
+const CIRCUIT_REPS: usize = 21;
+
+/// Timed repetitions per large row: the reference takes ~0.6 s per run
+/// at 4k nets.
+const LARGE_REPS: usize = 9;
+
+/// Interleaved untraced/traced pairs of the telemetry measurement.
+const TELEMETRY_REPS: usize = 30;
+
+/// The spread of one configuration's timed runs.
 struct Timing {
-    seconds: f64,
+    reps: usize,
+    min: f64,
+    median: f64,
+    p90: f64,
+    /// Proposed moves per run (the same in every run).
     moves: usize,
 }
 
-fn time_runs<F>(runs: usize, f: F) -> (Timing, ExchangeResult)
-where
-    F: Fn() -> ExchangeResult,
-{
-    // One warm-up, then the timed repetitions.
-    let mut result = f();
-    let start = Instant::now();
-    for _ in 0..runs {
-        result = f();
+impl Timing {
+    /// Summarises per-run wall seconds: the upper median and the
+    /// nearest-rank p90.
+    fn of(mut seconds: Vec<f64>, moves: usize) -> Self {
+        seconds.sort_by(f64::total_cmp);
+        let n = seconds.len();
+        Self {
+            reps: n,
+            min: seconds[0],
+            median: seconds[n / 2],
+            p90: seconds[(n * 9).div_ceil(10) - 1],
+            moves,
+        }
     }
-    let seconds = start.elapsed().as_secs_f64() / runs as f64;
-    let moves = result.stats.proposed;
-    (Timing { seconds, moves }, result)
+
+    fn moves_per_sec(&self) -> f64 {
+        self.moves as f64 / self.median.max(1e-12)
+    }
+}
+
+/// Wall seconds of one call, and its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let result = f();
+    (start.elapsed().as_secs_f64(), result)
 }
 
 fn json_timing(out: &mut String, key: &str, t: &Timing) {
     let _ = write!(
         out,
-        "\"{key}\": {{\"seconds\": {:.6}, \"moves\": {}, \"moves_per_sec\": {:.1}}}",
-        t.seconds,
+        "\"{key}\": {{\"reps\": {}, \"min_s\": {:.6}, \"median_s\": {:.6}, \"p90_s\": {:.6}, \
+         \"moves\": {}, \"moves_per_sec\": {:.1}}}",
+        t.reps,
+        t.min,
+        t.median,
+        t.p90,
         t.moves,
-        t.moves as f64 / t.seconds.max(1e-12)
+        t.moves_per_sec()
     );
 }
 
+/// Times the kernel and the reference on one configuration: one untimed
+/// warm-up each, then `reps` interleaved pairs. Every run must return
+/// the same result — the benchmark doubles as an end-to-end equivalence
+/// check on real circuit sizes.
 fn bench_pair(
     quadrant: &Quadrant,
     initial: &Assignment,
     stack: &StackConfig,
     config: &ExchangeConfig,
-    runs: usize,
+    reps: usize,
 ) -> (Timing, Timing) {
-    let (inc, inc_result) = time_runs(runs, || {
-        exchange(quadrant, initial, stack, config).expect("kernel runs")
-    });
-    let (reference, ref_result) = time_runs(runs, || {
-        exchange_reference(quadrant, initial, stack, config).expect("reference runs")
-    });
-    // The benchmark doubles as an end-to-end equivalence check on real
-    // circuit sizes: same seed, same trajectory, same result.
+    let kernel = || exchange(quadrant, initial, stack, config).expect("kernel runs");
+    let reference =
+        || exchange_reference(quadrant, initial, stack, config).expect("reference runs");
+    let expected: ExchangeResult = kernel();
     assert_eq!(
-        inc_result, ref_result,
+        expected,
+        reference(),
         "kernel diverged from the reference implementation"
     );
-    (inc, reference)
+    let (mut inc, mut slow) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        let (seconds, result) = timed(kernel);
+        assert_eq!(result, expected, "kernel runs differ");
+        inc.push(seconds);
+        let (seconds, result) = timed(reference);
+        assert_eq!(
+            result, expected,
+            "kernel diverged from the reference implementation"
+        );
+        slow.push(seconds);
+    }
+    let moves = expected.stats.proposed;
+    (Timing::of(inc, moves), Timing::of(slow, moves))
+}
+
+/// One `circuits` entry of the JSON, echoed to the console.
+fn row(name: &str, psi: u8, nets: usize, inc: &Timing, reference: &Timing) -> String {
+    let speedup = reference.median / inc.median.max(1e-12);
+    let mut entry = String::new();
+    let _ = write!(
+        entry,
+        "    {{\"name\": \"{name}\", \"psi\": {psi}, \"nets\": {nets}, "
+    );
+    json_timing(&mut entry, "incremental", inc);
+    entry.push_str(", ");
+    json_timing(&mut entry, "reference", reference);
+    let _ = write!(entry, ", \"speedup\": {speedup:.2}}}");
+    println!(
+        "{name} psi={psi}: incremental {:.1} moves/s ({:.1} ns/move, median of {}), \
+         reference {:.1} moves/s ({speedup:.2}x)",
+        inc.moves_per_sec(),
+        inc.median * 1e9 / inc.moves.max(1) as f64,
+        inc.reps,
+        reference.moves_per_sec(),
+    );
+    entry
 }
 
 fn main() {
@@ -85,7 +157,7 @@ fn main() {
         },
         ..ExchangeConfig::default()
     };
-    let runs = 3;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let mut entries: Vec<String> = Vec::new();
     for circuit in circuits() {
@@ -99,40 +171,22 @@ fn main() {
             };
             let quadrant = c.build_quadrant().expect("circuit builds");
             let initial = dfa(&quadrant, 1).expect("dfa");
-            let (inc, reference) = bench_pair(&quadrant, &initial, &stack, &config, runs);
-            let speedup = reference.seconds / inc.seconds.max(1e-12);
-
-            let mut entry = String::new();
-            let _ = write!(
-                entry,
-                "    {{\"name\": \"{}\", \"psi\": {psi}, \"nets\": {}, ",
-                circuit.name,
-                quadrant.net_count()
-            );
-            json_timing(&mut entry, "incremental", &inc);
-            entry.push_str(", ");
-            json_timing(&mut entry, "reference", &reference);
-            let _ = write!(entry, ", \"speedup\": {speedup:.2}}}");
-            println!(
-                "{} psi={psi}: incremental {:.1} moves/s, reference {:.1} moves/s ({speedup:.2}x)",
-                circuit.name,
-                inc.moves as f64 / inc.seconds.max(1e-12),
-                reference.moves as f64 / reference.seconds.max(1e-12),
-            );
-            entries.push(entry);
+            let (inc, reference) = bench_pair(&quadrant, &initial, &stack, &config, CIRCUIT_REPS);
+            let nets = quadrant.net_count();
+            entries.push(row(&circuit.name, psi, nets, &inc, &reference));
         }
     }
 
     bench_large(&mut entries);
 
-    let telemetry = bench_telemetry(&config, runs);
+    let telemetry = bench_telemetry(&config);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"exchange\",\n  \"runs_per_config\": {runs},\n  \"circuits\": [\n{}\n  ],\n{telemetry}}}\n",
+        "{{\n  \"benchmark\": \"exchange\",\n  \"cores\": {cores},\n  \"circuits\": [\n{}\n  ],\n{telemetry}}}\n",
         entries.join(",\n")
     );
     std::fs::write("BENCH_exchange.json", &json).expect("write BENCH_exchange.json");
-    println!("wrote BENCH_exchange.json");
+    println!("wrote BENCH_exchange.json ({cores} cores)");
 }
 
 /// Industrial-scale rows: the dense-index kernel against the keyed
@@ -160,42 +214,17 @@ fn bench_large(entries: &mut Vec<String>) {
         let stack = spec.stack().expect("valid stack");
         let quadrant = spec.build_quadrant().expect("instance builds");
         let initial = dfa(&quadrant, 1).expect("dfa");
-        let (inc, reference) = bench_pair(&quadrant, &initial, &stack, &config, 1);
-        let inc_rate = inc.moves as f64 / inc.seconds.max(1e-12);
-        let ref_rate = reference.moves as f64 / reference.seconds.max(1e-12);
-        let speedup = reference.seconds / inc.seconds.max(1e-12);
+        let (inc, reference) = bench_pair(&quadrant, &initial, &stack, &config, LARGE_REPS);
+        let (inc_rate, ref_rate) = (inc.moves_per_sec(), reference.moves_per_sec());
         assert!(
             inc_rate >= 1.5 * ref_rate,
             "{}: dense kernel at {inc_rate:.1} moves/s lost its 1.5x lead \
              over the reference at {ref_rate:.1} moves/s",
             spec.name
         );
-
-        let mut entry = String::new();
-        let _ = write!(
-            entry,
-            "    {{\"name\": \"{}\", \"psi\": {}, \"nets\": {}, ",
-            spec.name,
-            spec.tiers,
-            quadrant.net_count()
-        );
-        json_timing(&mut entry, "incremental", &inc);
-        entry.push_str(", ");
-        json_timing(&mut entry, "reference", &reference);
-        let _ = write!(entry, ", \"speedup\": {speedup:.2}}}");
-        println!(
-            "{} psi={}: incremental {inc_rate:.1} moves/s, reference {ref_rate:.1} moves/s \
-             ({speedup:.2}x)",
-            spec.name, spec.tiers,
-        );
-        entries.push(entry);
+        let nets = quadrant.net_count();
+        entries.push(row(&spec.name, spec.tiers, nets, &inc, &reference));
     }
-}
-
-/// The middle element (upper-median) of an unsorted sample.
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// Measures the telemetry overhead on the largest circuit (Table 1
@@ -207,7 +236,7 @@ fn median(samples: &mut [f64]) -> f64 {
 /// at `finish`, so the annealing time (what moves/sec is computed over)
 /// and the drain time are measured separately — the drain is reporting
 /// I/O, not kernel work.
-fn bench_telemetry(config: &ExchangeConfig, runs: usize) -> String {
+fn bench_telemetry(config: &ExchangeConfig) -> String {
     let all = circuits();
     let circuit = all.last().expect("Table 1 has circuits");
     let quadrant = circuit.build_quadrant().expect("circuit builds");
@@ -216,53 +245,41 @@ fn bench_telemetry(config: &ExchangeConfig, runs: usize) -> String {
 
     // The runs are short (a few ms), so scheduler jitter would swamp a
     // back-to-back comparison. Interleave baseline/traced pairs over
-    // many repetitions and take the per-stream *median* — a mean lets a
-    // single scheduler stall in either stream swing the overhead figure
-    // by more than the quantity being measured.
-    let reps = (runs * 10).max(20);
+    // many repetitions and compare the per-stream *medians* — a mean
+    // lets a single scheduler stall in either stream swing the overhead
+    // figure by more than the quantity being measured.
     let trace_path = std::env::temp_dir().join("bench_exchange_trace.jsonl");
     let mut baseline_result = None;
     let mut traced_result = None;
-    let mut baseline_samples = Vec::with_capacity(reps);
-    let mut anneal_samples = Vec::with_capacity(reps);
-    let mut drain_samples = Vec::with_capacity(reps);
-    for timed in 0..=reps {
-        let start = Instant::now();
-        let base = exchange(&quadrant, &initial, &stack, config).expect("kernel runs");
-        let base_elapsed = start.elapsed().as_secs_f64();
+    let mut baseline_samples = Vec::with_capacity(TELEMETRY_REPS);
+    let mut anneal_samples = Vec::with_capacity(TELEMETRY_REPS);
+    let mut drain_samples = Vec::with_capacity(TELEMETRY_REPS);
+    for timed_pair in 0..=TELEMETRY_REPS {
+        let (base_elapsed, base) =
+            timed(|| exchange(&quadrant, &initial, &stack, config).expect("kernel runs"));
 
         let mut sink = JsonlSink::create(&trace_path).expect("temp trace file");
-        let start = Instant::now();
-        let result =
-            exchange_traced(&quadrant, &initial, &stack, config, &mut sink).expect("kernel runs");
-        let anneal = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        sink.finish().expect("trace flush");
-        // The zeroth pair is warm-up (matching `time_runs`).
-        if timed > 0 {
+        let (anneal, result) = timed(|| {
+            exchange_traced(&quadrant, &initial, &stack, config, &mut sink).expect("kernel runs")
+        });
+        let (drain, _) = timed(|| sink.finish().expect("trace flush"));
+        // The zeroth pair is warm-up (matching `bench_pair`).
+        if timed_pair > 0 {
             baseline_samples.push(base_elapsed);
             anneal_samples.push(anneal);
-            drain_samples.push(start.elapsed().as_secs_f64());
+            drain_samples.push(drain);
         }
         baseline_result = Some(base);
         traced_result = Some(result);
     }
-    let baseline_seconds = median(&mut baseline_samples);
-    let anneal_seconds = median(&mut anneal_samples);
-    let drain_seconds = median(&mut drain_samples);
     assert_eq!(
         baseline_result, traced_result,
         "telemetry perturbed the kernel's result"
     );
     let moves = baseline_result.expect("ran at least once").stats.proposed;
-    let baseline = Timing {
-        seconds: baseline_seconds,
-        moves,
-    };
-    let traced = Timing {
-        seconds: anneal_seconds,
-        moves,
-    };
+    let baseline = Timing::of(baseline_samples, moves);
+    let traced = Timing::of(anneal_samples, moves);
+    let drain = Timing::of(drain_samples, moves);
     let _ = std::fs::remove_file(&trace_path);
 
     // Exact replay: capture the same run in memory and fold the accepted
@@ -281,8 +298,7 @@ fn bench_telemetry(config: &ExchangeConfig, runs: usize) -> String {
         "trace replay diverged from the kernel's final cost"
     );
 
-    let base_rate = baseline.moves as f64 / baseline.seconds.max(1e-12);
-    let traced_rate = traced.moves as f64 / traced.seconds.max(1e-12);
+    let (base_rate, traced_rate) = (baseline.moves_per_sec(), traced.moves_per_sec());
     // Medians still leave the traced stream occasionally *faster* than
     // the baseline on a noisy host; a negative overhead is measurement
     // noise, not a real speedup, so clamp at zero rather than report it.
@@ -291,7 +307,7 @@ fn bench_telemetry(config: &ExchangeConfig, runs: usize) -> String {
         "telemetry ({} psi=1): untraced {base_rate:.1} moves/s, jsonl {traced_rate:.1} moves/s \
          ({overhead_percent:.1}% overhead, drain {:.1} ms), replay exact over {} events",
         circuit.name,
-        drain_seconds * 1e3,
+        drain.median * 1e3,
         events.len()
     );
     assert!(
@@ -310,8 +326,9 @@ fn bench_telemetry(config: &ExchangeConfig, runs: usize) -> String {
     json_timing(&mut block, "jsonl", &traced);
     let _ = writeln!(
         block,
-        ", \"overhead_percent\": {overhead_percent:.2}, \"drain_seconds\": {drain_seconds:.6}, \
+        ", \"overhead_percent\": {overhead_percent:.2}, \"drain_median_s\": {:.6}, \
          \"events\": {}, \"replay_exact\": true}}",
+        drain.median,
         events.len()
     );
     block

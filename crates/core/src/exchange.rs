@@ -3,14 +3,15 @@
 //!
 //! Two implementations share the contract:
 //!
-//! * [`exchange`] — the production kernel. Each proposal touches only
-//!   fixed-size incremental state: positions live in flat arrays instead
-//!   of the assignment's `BTreeMap`, exchange ranges come from a
-//!   [`RangeCache`], the Δ_IR term from a
-//!   [`crate::DeltaIrTracker`], and the best-seen state is a **move
-//!   journal** (accepted swaps + a prefix length) rematerialised once at
-//!   the end instead of a full clone per improvement. With the `Proxy`
-//!   objective the inner loop allocates nothing.
+//! * [`exchange`] — the production kernel. Each proposal reads and writes
+//!   only flat `u32` tables over the quadrant's dense net index: positions
+//!   and slot occupants, exchange ranges in a [`RangeCache`], the Δ_IR
+//!   term in a prefix-cached [`crate::DeltaIrTracker`]. The best-seen
+//!   state is a **move journal** (accepted swaps + a prefix length)
+//!   rematerialised once at the end instead of a full clone per
+//!   improvement. The move loop is monomorphised over the Δ_IR objective,
+//!   so a proposal never dispatches on it, and with the `Proxy` objective
+//!   it allocates nothing.
 //! * [`exchange_reference`] — the original straight-line implementation
 //!   that re-derives ranges and rebuilds the pad-spacing proxy every move.
 //!   Kept as the executable specification: with the `Proxy` objective the
@@ -31,6 +32,7 @@ use copack_route::{check_monotonic, exchange_range, RangeCache};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::omega::check_tier;
 use crate::{
     evaluate_ir, margin_penalty, omega_of_assignment, Acceptance, CancelToken, CoreError,
     CostWeights, DeltaIrTracker, ExchangeConfig, IrObjective, MarginTracker, OmegaTracker,
@@ -81,96 +83,185 @@ fn movable_nets(quadrant: &Quadrant, psi: u8) -> Vec<NetId> {
     }
 }
 
-/// Incremental state of the Eq. 3 Δ_IR term.
+/// Slot sentinel of the kernel's `u32` slot table: an empty finger.
+pub(crate) const NO_NET: u32 = u32::MAX;
+
+/// The kernel's position tables for `assignment`, over the quadrant's
+/// dense net index: each net's 1-based finger (0 while unplaced), and the
+/// dense index of the net in each 0-based slot ([`NO_NET`] when empty).
+pub(crate) fn slot_tables(quadrant: &Quadrant, assignment: &Assignment) -> (Vec<u32>, Vec<u32>) {
+    let mut pos1 = vec![0; quadrant.net_count()];
+    let mut slot_net = vec![NO_NET; assignment.finger_count()];
+    for (i, net) in quadrant.nets().enumerate() {
+        if let Some(p) = assignment.position_of(net.id) {
+            pos1[i] = p.get();
+            slot_net[p.zero_based()] = u32::try_from(i).expect("net index fits u32");
+        }
+    }
+    (pos1, slot_net)
+}
+
+/// The λ·Δ_IR term as the move loop sees it.
+///
+/// [`ExchangeDriver::temp_step`] resolves the run's [`IrEval`] once per
+/// temperature step and runs the loop monomorphised over the matching
+/// implementation, so no proposal dispatches on the objective. Slots are
+/// 1-based, as in the journal.
+trait IrTerm {
+    /// Mirrors the swap of slots `left_slot` and `left_slot + 1`. Returns
+    /// `true` iff the term can have changed; the loop re-reads it only
+    /// then and otherwise reuses the identical cached `f64`.
+    fn swap(&mut self, left_slot: u32) -> bool;
+    /// Undoes `swap(left_slot)` for a rejected move.
+    fn revert(&mut self, left_slot: u32);
+    /// The λ-weighted term of the current state (`pos1`: each net's
+    /// 1-based finger).
+    fn term(&mut self, lambda: f64, pos1: &[u32]) -> Result<f64, CoreError>;
+    /// The last state evaluated was accepted (`true`) or rejected.
+    fn settle(&mut self, _accepted: bool) {}
+}
+
+/// The Δ_IR objective of a run.
 enum IrEval {
     /// λ = 0: the term never contributes.
     Off,
     /// The paper's pad-spacing proxy, tracked incrementally.
     Proxy(DeltaIrTracker),
     /// Full grid solves, warm-started from the last accepted solution.
-    Full {
-        grid: GridSpec,
-        /// Dense indices of the power nets, in net-id order (the order the
-        /// naive path iterates them).
-        power_idx: Vec<usize>,
-        alpha: f64,
-        /// Voltages of the last *accepted* solve, the next warm start.
-        warm: Option<Vec<f64>>,
-        /// Voltages of the most recent solve, promoted to `warm` on accept.
-        pending: Option<Vec<f64>>,
-    },
+    Full(FullSolve),
 }
 
-impl IrEval {
-    /// λ-weighted Δ_IR contribution of the current state.
-    fn cost_term(&mut self, lambda: f64, pos1: &[u32]) -> Result<f64, CoreError> {
-        match self {
-            Self::Off => Ok(0.0),
-            Self::Proxy(tracker) => {
-                if tracker.power_pad_count() == 0 {
-                    Ok(0.0)
-                } else {
-                    Ok(lambda * tracker.delta_ir())
-                }
+/// The λ = 0 term: no swap changes it.
+struct NoIr;
+
+impl IrTerm for NoIr {
+    fn swap(&mut self, _left_slot: u32) -> bool {
+        false
+    }
+
+    fn revert(&mut self, _left_slot: u32) {}
+
+    fn term(&mut self, _lambda: f64, _pos1: &[u32]) -> Result<f64, CoreError> {
+        Ok(0.0)
+    }
+}
+
+/// The proxy term. The tracker reports exactly whether a pad coordinate
+/// moved: two power pads or two non-power nets trading places leave the
+/// spacing untouched.
+impl IrTerm for DeltaIrTracker {
+    #[inline]
+    fn swap(&mut self, left_slot: u32) -> bool {
+        self.apply_adjacent_swap(FingerIdx::new(left_slot))
+    }
+
+    #[inline]
+    fn revert(&mut self, left_slot: u32) {
+        self.revert_adjacent_swap(FingerIdx::new(left_slot));
+    }
+
+    #[inline]
+    fn term(&mut self, lambda: f64, _pos1: &[u32]) -> Result<f64, CoreError> {
+        Ok(if self.power_pad_count() == 0 {
+            0.0
+        } else {
+            lambda * self.delta_ir()
+        })
+    }
+}
+
+/// Full grid solves, warm-started from the last *accepted* solution
+/// ([`copack_power::solve_sor_warm`]). Every swap counts as a change.
+struct FullSolve {
+    grid: GridSpec,
+    /// Dense indices of the power nets, in net-id order (the order the
+    /// naive path iterates them).
+    power_idx: Vec<usize>,
+    alpha: f64,
+    /// Voltages of the last *accepted* solve, the next warm start.
+    warm: Option<Vec<f64>>,
+    /// Voltages of the most recent solve, promoted to `warm` on accept.
+    pending: Option<Vec<f64>>,
+}
+
+impl IrTerm for FullSolve {
+    fn swap(&mut self, _left_slot: u32) -> bool {
+        true
+    }
+
+    fn revert(&mut self, _left_slot: u32) {}
+
+    fn term(&mut self, lambda: f64, pos1: &[u32]) -> Result<f64, CoreError> {
+        // Replicates `evaluate_ir`'s pad construction: each power pad
+        // appears once per package side.
+        let mut ts = Vec::with_capacity(self.power_idx.len() * 4);
+        for &i in &self.power_idx {
+            let frac = (f64::from(pos1[i]) - 0.5) / self.alpha;
+            for side in 0..4u32 {
+                ts.push((f64::from(side) + frac) / 4.0);
             }
-            Self::Full {
-                grid,
-                power_idx,
-                alpha,
-                warm,
-                pending,
-            } => {
-                // Replicates `evaluate_ir`'s pad construction: each power
-                // pad appears once per package side.
-                let mut ts = Vec::with_capacity(power_idx.len() * 4);
-                for &i in power_idx.iter() {
-                    let frac = (f64::from(pos1[i]) - 0.5) / *alpha;
-                    for side in 0..4u32 {
-                        ts.push((f64::from(side) + frac) / 4.0);
+        }
+        if ts.is_empty() {
+            return Ok(0.0);
+        }
+        let ring = PadRing::from_ts(ts)?;
+        let map = copack_power::solve_sor_warm(&self.grid, &ring, self.warm.as_deref())?;
+        let drop = map.max_drop();
+        self.pending = Some(map.voltages().to_vec());
+        Ok(lambda * drop)
+    }
+
+    fn settle(&mut self, accepted: bool) {
+        let solved = self.pending.take();
+        if accepted && solved.is_some() {
+            self.warm = solved;
+        }
+    }
+}
+
+/// The ω term, scored only when ψ > 1 and φ > 0.
+enum Omega {
+    /// ω is not scored.
+    Off,
+    /// Dense orders: the incremental [`OmegaTracker`].
+    Tracked(OmegaTracker),
+    /// Sparse orders, which the tracker does not model: ω recounted from
+    /// the slot table after every swap, the occupied slots in order cut
+    /// into groups of ψ exactly as [`omega_of_assignment`] cuts
+    /// [`Assignment::order`]. `bits[i]` is net `i`'s one-hot tier bit.
+    Recount { psi: u32, bits: Vec<u64> },
+}
+
+impl Omega {
+    /// Mirrors the swap of 1-based slots `left_slot` and `left_slot + 1`.
+    #[inline]
+    fn swap(&mut self, left_slot: u32) {
+        if let Self::Tracked(tracker) = self {
+            tracker.swap_slots(left_slot as usize - 1);
+        }
+    }
+
+    /// ω of the current order, or `None` when it is not scored.
+    #[inline]
+    fn value(&self, slot_net: &[u32]) -> Option<u64> {
+        match self {
+            Self::Off => None,
+            Self::Tracked(tracker) => Some(tracker.omega()),
+            Self::Recount { psi, bits } => {
+                let (mut total, mut union, mut filled) = (0u64, 0u64, 0u32);
+                for &net in slot_net.iter().filter(|&&n| n != NO_NET) {
+                    union |= bits[net as usize];
+                    filled += 1;
+                    if filled == *psi {
+                        total += u64::from(psi - union.count_ones());
+                        (union, filled) = (0, 0);
                     }
                 }
-                if ts.is_empty() {
-                    return Ok(0.0);
+                if filled > 0 {
+                    total += u64::from(psi - union.count_ones());
                 }
-                let ring = PadRing::from_ts(ts)?;
-                let map = copack_power::solve_sor_warm(grid, &ring, warm.as_deref())?;
-                let drop = map.max_drop();
-                *pending = Some(map.voltages().to_vec());
-                Ok(lambda * drop)
+                Some(total)
             }
-        }
-    }
-
-    /// Marks the last-evaluated state as accepted (its solution becomes
-    /// the next warm start).
-    fn commit(&mut self) {
-        if let Self::Full { warm, pending, .. } = self {
-            if let Some(v) = pending.take() {
-                *warm = Some(v);
-            }
-        }
-    }
-
-    /// Discards the last evaluation after a rejected move.
-    fn discard(&mut self) {
-        if let Self::Full { pending, .. } = self {
-            *pending = None;
-        }
-    }
-
-    /// Mirrors an adjacent swap of `left_slot` and `left_slot + 1`.
-    ///
-    /// Returns `true` iff the swap can change the Δ_IR term, so callers
-    /// may cache the term's value and only call [`IrEval::cost_term`]
-    /// again when it does. For the proxy this is exact (the tracker
-    /// reports whether a pad coordinate moved — two power pads or two
-    /// non-power nets trading places leave the spacing untouched); a full
-    /// solve is conservatively always treated as changed.
-    fn apply_adjacent_swap(&mut self, left_slot: FingerIdx) -> bool {
-        match self {
-            Self::Off => false,
-            Self::Proxy(tracker) => tracker.apply_adjacent_swap(left_slot),
-            Self::Full { .. } => true,
         }
     }
 }
@@ -195,6 +286,8 @@ impl IrEval {
 /// # Errors
 ///
 /// * [`CoreError::BadConfig`] for invalid weights or schedule.
+/// * [`CoreError::Geom`] ([`copack_geom::GeomError::TierOutOfRange`]) when
+///   ψ > 1 and a net's tier exceeds ψ.
 /// * [`CoreError::NoMovablePads`] for a 2-D design without power nets.
 /// * [`CoreError::Route`] if `initial` is incomplete or illegal, or —
 ///   defensively — if the final order fails the monotonicity re-check.
@@ -270,51 +363,80 @@ pub fn exchange_cancellable(
 /// best-of candidate after the driver is gone.
 pub(crate) type FrozenRun = (Vec<(u32, u32)>, usize, ExchangeStats);
 
-/// Resumable state of one annealing run: the incremental kernel hoisted
-/// into a struct so the schedule can be advanced in segments.
+/// Resumable state of one annealing run, advanced in temperature steps.
 ///
-/// [`exchange_cancellable`] drives a driver straight to completion —
-/// construction, every temperature step and the final rematerialisation
-/// execute the exact statements of the former inline implementation, in
-/// the same order, so results stay bit-identical to the pre-refactor
-/// kernel (and to [`exchange_reference`] under the `Proxy` objective).
-/// The multi-start portfolio (`crate::portfolio`) instead advances K
-/// drivers epoch by epoch: pausing between [`ExchangeDriver::temp_step`]
-/// calls touches no RNG or cost state, which is what makes sync-epoch
-/// prune decisions schedule-independent.
+/// [`exchange_cancellable`] drives a driver straight to completion. The
+/// multi-start portfolio (`crate::portfolio`) instead advances K drivers
+/// epoch by epoch: pausing between [`ExchangeDriver::temp_step`] calls
+/// touches no RNG or cost state, which is what makes sync-epoch prune
+/// decisions schedule-independent.
+///
+/// The Δ_IR objective and the rest of the state live in separate fields
+/// so a step can borrow them apart: it matches [`IrEval`] once and hands
+/// the term to the [`Walk`]'s move loop.
 pub(crate) struct ExchangeDriver<'a> {
     quadrant: &'a Quadrant,
     /// A private copy of the initial order, kept for the final
     /// journal replay.
     initial: Assignment,
+    cooling: f64,
+    final_temp: f64,
+    ir: IrEval,
+    walk: Walk,
+}
+
+/// Everything a proposal reads and writes.
+///
+/// Positions, slots, ranges and section membership are flat arrays over
+/// the quadrant's dense net index (`u32` entries with a sentinel where an
+/// `Option` would be), so a proposal does no keyed lookup. The Eq. 3 terms
+/// other than Δ_IR are tracked incrementally here; the best-seen state is
+/// a **move journal** (one `u32` word per accepted swap, plus the length
+/// of the best prefix), rematerialised once by [`ExchangeDriver::finish`].
+struct Walk {
     weights: CostWeights,
     acceptance: Acceptance,
-    cooling: f64,
-    psi: u8,
-    alpha: usize,
-    movable_idx: Vec<usize>,
+    /// Finger count α.
+    alpha: u32,
+    /// Dense indices of the nets a proposal may pick.
+    movable: Vec<u32>,
     cache: RangeCache,
+    /// 1-based finger of each net.
     pos1: Vec<u32>,
-    slot_net: Vec<Option<usize>>,
+    /// Net in each 0-based slot ([`NO_NET`] when empty).
+    slot_net: Vec<u32>,
     sections: SectionTracker,
+    /// Whether each net is a top-row net (a section delimiter).
     is_delim: Vec<bool>,
+    /// Eq. 2's `ID`, refreshed only when a swap crosses a delimiter.
     id_value: u32,
-    omega_tracker: Option<OmegaTracker>,
-    margin_tracker: Option<MarginTracker>,
-    live: Option<Assignment>,
-    ir: IrEval,
+    omega: Omega,
+    margin: Option<MarginTracker>,
     rng: rand::rngs::StdRng,
+    /// The λ-weighted Δ_IR term of the current state.
     ir_term: f64,
     current_cost: f64,
     temperature: f64,
-    final_temp: f64,
     moves_per_temp: usize,
     stats: ExchangeStats,
     rec_on: bool,
     rec_rejected: bool,
-    journal: Vec<(u32, u32)>,
+    /// Accepted swaps, packed by [`pack`].
+    journal: Vec<u32>,
     best_len: usize,
     best_cost: f64,
+}
+
+/// Packs the accepted swap `pos → target` (adjacent fingers) into one
+/// journal word: the mover's finger and the direction bit.
+fn pack(pos: u32, target: u32) -> u32 {
+    pos << 1 | u32::from(target > pos)
+}
+
+/// The `(pos, target)` pair of a packed journal word.
+fn unpack(word: u32) -> (u32, u32) {
+    let pos = word >> 1;
+    (pos, if word & 1 == 1 { pos + 1 } else { pos - 1 })
 }
 
 impl<'a> ExchangeDriver<'a> {
@@ -322,7 +444,7 @@ impl<'a> ExchangeDriver<'a> {
     /// the initial cost and temperature, and records `RunStart`.
     ///
     /// The recorder's `enabled`/`wants_rejected` flags are cached here,
-    /// once — exactly as the inline kernel cached them at startup.
+    /// once.
     ///
     /// # Errors
     ///
@@ -334,53 +456,25 @@ impl<'a> ExchangeDriver<'a> {
         config: &ExchangeConfig,
         recorder: &mut dyn Recorder,
     ) -> Result<Self, CoreError> {
-        if !config.weights.is_valid() {
-            return Err(CoreError::BadConfig {
-                parameter: "weights",
-            });
-        }
-        if !config.schedule.is_valid() {
-            return Err(CoreError::BadConfig {
-                parameter: "schedule",
-            });
-        }
-        check_monotonic(quadrant, initial)?;
-        initial.validate_complete(quadrant)?;
-
         let psi = stack.tiers;
-        let movable = movable_nets(quadrant, psi);
-        if movable.is_empty() {
-            return Err(CoreError::NoMovablePads);
-        }
-
+        let movable = validate(quadrant, initial, psi, config)?;
         let alpha = initial.finger_count();
 
-        // Dense net indexing (the quadrant's `NetIndex` order) and flat
-        // position state: the inner loop does zero keyed lookups — slots,
-        // positions, ranges and section state are all arrays over the
-        // same interned domain.
         let cache = RangeCache::new(quadrant, initial)?;
-        let ids: Vec<NetId> = quadrant.nets().map(|n| n.id).collect();
-        let movable_idx: Vec<usize> = movable
+        let movable: Vec<u32> = movable
             .iter()
-            .map(|&n| cache.index_of(n).expect("movable net is in the quadrant"))
+            .map(|&n| {
+                let i = cache.index_of(n).expect("movable net is in the quadrant");
+                u32::try_from(i).expect("net index fits u32")
+            })
             .collect();
-        let mut pos1: Vec<u32> = vec![0; ids.len()];
-        let mut slot_net: Vec<Option<usize>> = vec![None; alpha];
-        for (i, &id) in ids.iter().enumerate() {
-            let p = initial
-                .position_of(id)
-                .expect("assignment validated complete");
-            pos1[i] = p.get();
-            slot_net[p.zero_based()] = Some(i);
-        }
+        let (pos1, slot_net) = slot_tables(quadrant, initial);
 
         // Incremental trackers: an adjacent swap moves one net across at
         // most one section delimiter, touches at most two omega groups and
         // moves at most one power pad, so every Eq. 3 term updates in O(1)
         // (see `tracker.rs`; equivalence to the from-scratch definitions
-        // is property-tested there). Omega falls back to recomputation for
-        // sparse assignments, which the tracker does not model.
+        // is property-tested there).
         let sections = SectionTracker::new(quadrant, initial)?;
         // ID bookkeeping: the value is an integer (no float-ordering
         // hazard), and it only changes when a net crosses a section
@@ -388,34 +482,31 @@ impl<'a> ExchangeDriver<'a> {
         // top-row net. Pre-resolving delimiter-ness lets the hot loop skip
         // the tracker entirely for the common within-section swap, and
         // `id_value` caches the O(sections) metric between crossings.
-        let is_delim: Vec<bool> = ids.iter().map(|&id| sections.is_delimiter(id)).collect();
+        let is_delim: Vec<bool> = quadrant
+            .nets()
+            .map(|n| sections.is_delimiter(n.id))
+            .collect();
         let id_value = sections.increased_density();
-        let dense = initial.net_count() == alpha;
-        let omega_tracker = if psi > 1 && dense {
-            Some(OmegaTracker::new(quadrant, initial, psi)?)
+        // ω exists only when it is scored; the tiers were checked above.
+        let omega = if psi > 1 && config.weights.phi > 0.0 {
+            if initial.net_count() == alpha {
+                Omega::Tracked(OmegaTracker::new(quadrant, initial, psi)?)
+            } else {
+                Omega::Recount {
+                    psi: u32::from(psi),
+                    bits: quadrant.nets().map(|n| n.tier.one_hot()).collect(),
+                }
+            }
         } else {
-            None
+            Omega::Off
         };
         // The margin tracker only exists when the term is weighted: at
-        // μ = 0 nothing is built or updated and the run is bit-identical
-        // to pre-margin kernels.
-        let margin_tracker = if config.weights.margin > 0.0 {
-            Some(MarginTracker::new(quadrant, initial))
-        } else {
-            None
-        };
-        // The omega fallback is the one consumer that still needs a live
-        // assignment per move; everything else runs on the flat arrays.
-        let live: Option<Assignment> =
-            if psi > 1 && config.weights.phi > 0.0 && omega_tracker.is_none() {
-                Some(initial.clone())
-            } else {
-                None
-            };
-        let ir = if config.weights.lambda > 0.0 {
+        // μ = 0 nothing is built or updated.
+        let margin = (config.weights.margin > 0.0).then(|| MarginTracker::new(quadrant, initial));
+        let mut ir = if config.weights.lambda > 0.0 {
             match &config.ir_objective {
                 IrObjective::Proxy => IrEval::Proxy(DeltaIrTracker::new(quadrant, initial)?),
-                IrObjective::FullSolve { grid } => IrEval::Full {
+                IrObjective::FullSolve { grid } => IrEval::Full(FullSolve {
                     grid: grid.clone(),
                     power_idx: quadrant
                         .nets_of_kind(NetKind::Power)
@@ -424,36 +515,47 @@ impl<'a> ExchangeDriver<'a> {
                     alpha: alpha as f64,
                     warm: None,
                     pending: None,
-                },
+                }),
             }
         } else {
             IrEval::Off
         };
+        let lambda = config.weights.lambda;
+        let ir_term = match &mut ir {
+            IrEval::Off => 0.0,
+            IrEval::Proxy(t) => t.term(lambda, &pos1)?,
+            IrEval::Full(f) => {
+                let term = f.term(lambda, &pos1)?;
+                f.settle(true); // the initial state is accepted by definition
+                term
+            }
+        };
 
-        let mut driver = Self {
-            quadrant,
-            initial: initial.clone(),
+        // Telemetry flags, cached once: with a disabled recorder every
+        // event site is a never-taken branch and the run stays
+        // bit-identical.
+        let rec_on = recorder.enabled();
+        let mut walk = Walk {
             weights: config.weights,
             acceptance: config.acceptance,
-            cooling: config.schedule.cooling,
-            psi,
-            alpha,
-            movable_idx,
+            // Below 2^31, so a journal word has room for the direction bit.
+            alpha: u32::try_from(alpha)
+                .ok()
+                .filter(|&a| a < 1 << 31)
+                .expect("finger count fits the journal packing"),
+            movable,
             cache,
             pos1,
             slot_net,
             sections,
             is_delim,
             id_value,
-            omega_tracker,
-            margin_tracker,
-            live,
-            ir,
+            omega,
+            margin,
             rng: rand::rngs::StdRng::seed_from_u64(config.seed),
-            ir_term: 0.0,
+            ir_term,
             current_cost: 0.0,
             temperature: 0.0,
-            final_temp: 0.0,
             moves_per_temp: config.schedule.moves_per_temp_per_finger * alpha,
             stats: ExchangeStats {
                 initial_cost: 0.0,
@@ -464,74 +566,66 @@ impl<'a> ExchangeDriver<'a> {
                 constraint_rejected: 0,
                 temperature_steps: 0,
             },
-            rec_on: false,
-            rec_rejected: false,
+            rec_on,
+            rec_rejected: rec_on && recorder.wants_rejected(),
             journal: Vec::new(),
             best_len: 0,
             best_cost: 0.0,
         };
-
-        driver.ir_term = if driver.weights.lambda > 0.0 {
-            driver.ir.cost_term(driver.weights.lambda, &driver.pos1)?
-        } else {
-            0.0
-        };
-        let initial_cost = driver.eval_cost(driver.ir_term, driver.id_value)?;
-        driver.ir.commit(); // the initial state is accepted by definition
-        driver.current_cost = initial_cost;
+        let initial_cost = walk.eval_cost();
+        walk.current_cost = initial_cost;
 
         // Temperature scale: tied to the IR/ID part of the cost only. The
         // omega term's magnitude grows with the finger count and would
         // otherwise over-heat stacking runs relative to 2-D ones.
-        let omega_part = match (&driver.omega_tracker, psi > 1 && config.weights.phi > 0.0) {
-            (Some(tracker), true) => config.weights.phi * tracker.omega() as f64,
-            (None, true) => {
-                config.weights.phi * omega_of_assignment(quadrant, initial, psi)? as f64
-            }
-            _ => 0.0,
-        };
+        let omega_part = walk
+            .omega
+            .value(&walk.slot_net)
+            .map_or(0.0, |omega| config.weights.phi * omega as f64);
         let temp_base = (initial_cost - omega_part).max(0.0);
-        driver.temperature = config.schedule.initial_temp_factor * (temp_base + 1.0);
-        driver.final_temp = driver.temperature * config.schedule.final_temp_ratio;
+        walk.temperature = config.schedule.initial_temp_factor * (temp_base + 1.0);
+        let final_temp = walk.temperature * config.schedule.final_temp_ratio;
 
-        driver.stats.initial_cost = initial_cost;
-        driver.stats.final_cost = initial_cost;
-        driver.best_cost = initial_cost;
+        walk.stats.initial_cost = initial_cost;
+        walk.stats.final_cost = initial_cost;
+        walk.best_cost = initial_cost;
 
-        // Telemetry flags, cached once: with a disabled recorder every
-        // event site is a never-taken branch and the run stays
-        // bit-identical.
-        driver.rec_on = recorder.enabled();
-        driver.rec_rejected = driver.rec_on && recorder.wants_rejected();
-        if driver.rec_on {
+        if walk.rec_on {
             recorder.record(&Event::RunStart {
                 initial_cost,
-                ir_term: driver.ir_term,
-                initial_temperature: driver.temperature,
-                final_temperature: driver.final_temp,
+                ir_term: walk.ir_term,
+                initial_temperature: walk.temperature,
+                final_temperature: final_temp,
                 cooling: config.schedule.cooling,
-                moves_per_temp: driver.moves_per_temp as u64,
-                movable_nets: driver.movable_idx.len() as u64,
+                moves_per_temp: walk.moves_per_temp as u64,
+                movable_nets: walk.movable.len() as u64,
             });
         }
-        Ok(driver)
+        Ok(Self {
+            quadrant,
+            initial: initial.clone(),
+            cooling: config.schedule.cooling,
+            final_temp,
+            ir,
+            walk,
+        })
     }
 
     /// Whether the schedule has cooled past its final temperature.
     pub(crate) fn is_done(&self) -> bool {
-        self.temperature <= self.final_temp
+        self.walk.temperature <= self.final_temp
     }
 
     /// Best cost seen so far (the initial cost before any step).
     pub(crate) fn best_cost(&self) -> f64 {
-        self.best_cost
+        self.walk.best_cost
     }
 
     /// Cost of the *current* (not best) state — what a tempering swap
     /// decision must look at, since the plan a rung would hand over is
     /// its live trajectory, not its best prefix.
     pub(crate) fn current_cost(&self) -> f64 {
-        self.current_cost
+        self.walk.current_cost
     }
 
     /// The run's thermal state `(temperature, final_temp)`.
@@ -541,7 +635,7 @@ impl<'a> ExchangeDriver<'a> {
     /// `cooling`, swapping pairs preserves each driver's remaining step
     /// count — the ladder stays in lockstep across sync epochs.
     pub(crate) fn thermal(&self) -> (f64, f64) {
-        (self.temperature, self.final_temp)
+        (self.walk.temperature, self.final_temp)
     }
 
     /// Installs a thermal state taken from another rung (see
@@ -550,18 +644,18 @@ impl<'a> ExchangeDriver<'a> {
     /// textbook "swap the configurations" formulation, but keeps every
     /// cost ledger and the journal-replay contract trivially intact.
     pub(crate) fn set_thermal(&mut self, temperature: f64, final_temp: f64) {
-        self.temperature = temperature;
+        self.walk.temperature = temperature;
         self.final_temp = final_temp;
     }
 
-    /// The accepted-move journal so far.
-    pub(crate) fn journal(&self) -> &[(u32, u32)] {
-        &self.journal
+    /// The accepted-move journal so far, as `(pos, target)` pairs.
+    pub(crate) fn journal(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.walk.journal.iter().map(|&word| unpack(word))
     }
 
     /// Length of the journal prefix that produced [`Self::best_cost`].
     pub(crate) fn best_len(&self) -> usize {
-        self.best_len
+        self.walk.best_len
     }
 
     /// Freezes the run for a portfolio prune: the accepted-move journal,
@@ -569,9 +663,9 @@ impl<'a> ExchangeDriver<'a> {
     /// stamped to the best seen. The portfolio reduction keeps the frozen
     /// trajectory as a best-of candidate after the driver is dropped.
     pub(crate) fn freeze(&self) -> FrozenRun {
-        let mut stats = self.stats;
-        stats.final_cost = self.best_cost;
-        (self.journal.clone(), self.best_len, stats)
+        let mut stats = self.walk.stats;
+        stats.final_cost = self.walk.best_cost;
+        (self.journal().collect(), self.walk.best_len, stats)
     }
 
     /// Advances up to `steps` temperature steps (stopping early when the
@@ -612,44 +706,6 @@ impl<'a> ExchangeDriver<'a> {
         Ok(())
     }
 
-    /// Eq. 3, term by term in the reference order (the additions must
-    /// associate identically for bit-equal costs). The λ·Δ_IR term comes
-    /// in pre-computed: it is the only float-valued term, and it is
-    /// cached across moves that leave the pad coordinates untouched —
-    /// reusing the identical f64 instead of re-deriving it keeps
-    /// bit-equality trivially intact.
-    fn eval_cost(&self, ir_term: f64, id: u32) -> Result<f64, CoreError> {
-        let mut cost = 0.0;
-        if self.weights.lambda > 0.0 {
-            cost += ir_term;
-        }
-        if self.weights.rho > 0.0 {
-            cost += self.weights.rho * f64::from(id);
-        }
-        if self.weights.phi > 0.0 && self.psi > 1 {
-            let omega = match &self.omega_tracker {
-                Some(tracker) => tracker.omega(),
-                None => {
-                    let a = self
-                        .live
-                        .as_ref()
-                        .expect("fallback keeps a live assignment");
-                    omega_of_assignment(self.quadrant, a, self.psi)?
-                }
-            };
-            cost += self.weights.phi * omega as f64;
-        }
-        if self.weights.margin > 0.0 {
-            let sm = self
-                .margin_tracker
-                .as_ref()
-                .expect("margin tracker exists when the margin weight is set")
-                .total();
-            cost += self.weights.margin * sm as f64;
-        }
-        Ok(cost)
-    }
-
     /// One temperature step: `moves_per_temp` proposals, the `TempStep`
     /// event, one cooling multiply.
     ///
@@ -664,175 +720,29 @@ impl<'a> ExchangeDriver<'a> {
         if cancel.is_cancelled() {
             return Err(CoreError::Cancelled);
         }
-        let step_start = self.stats;
-        let mut step_ir_noop: u64 = 0;
-        for _ in 0..self.moves_per_temp {
-            self.stats.proposed += 1;
-            if self.stats.proposed & CANCEL_POLL_MASK == 0 && cancel.is_cancelled() {
-                return Err(CoreError::Cancelled);
-            }
-            let mi = self.movable_idx[self.rng.gen_range(0..self.movable_idx.len())];
-            let pos = self.pos1[mi];
-            let right = self.rng.gen_bool(0.5);
-            let target = if right {
-                if pos as usize >= self.alpha {
-                    self.stats.constraint_rejected += 1;
-                    continue;
-                }
-                pos + 1
-            } else {
-                if pos == 1 {
-                    self.stats.constraint_rejected += 1;
-                    continue;
-                }
-                pos - 1
-            };
-
-            // Range constraint: the moved net must stay inside its span,
-            // and the displaced neighbour (if any) inside its own.
-            let (lo, hi) = self.cache.range(mi);
-            if target < lo.get() || target > hi.get() {
-                self.stats.constraint_rejected += 1;
-                continue;
-            }
-            let neighbour = self.slot_net[(target - 1) as usize];
-            if let Some(ni) = neighbour {
-                let (nlo, nhi) = self.cache.range(ni);
-                if pos < nlo.get() || pos > nhi.get() {
-                    self.stats.constraint_rejected += 1;
-                    continue;
-                }
-            }
-
-            // Apply the swap to the trackers (self-inverse on revert).
-            let left_slot = pos.min(target);
-            let left_net = self.slot_net[(left_slot - 1) as usize];
-            let right_net = self.slot_net[left_slot as usize];
-            // The section counts only change when exactly one of the two
-            // nets is a delimiter; skip the tracker (and the cached ID
-            // refresh) for the common within-section swap.
-            let crosses = match (left_net, right_net) {
-                (Some(l), Some(r)) => self.is_delim[l] != self.is_delim[r],
-                _ => false,
-            };
-            let id_before = self.id_value;
-            if crosses {
-                let (l, r) = (left_net.expect("both set"), right_net.expect("both set"));
-                self.sections.apply_adjacent_swap_idx(l, r);
-                self.id_value = self.sections.increased_density();
-            }
-            if let Some(tracker) = &mut self.omega_tracker {
-                tracker.apply_adjacent_swap(FingerIdx::new(left_slot));
-            }
-            if let Some(tracker) = &mut self.margin_tracker {
-                tracker.apply_adjacent_swap(FingerIdx::new(left_slot));
-            }
-            let ir_changed = self.ir.apply_adjacent_swap(FingerIdx::new(left_slot));
-            if self.rec_on && !ir_changed {
-                step_ir_noop += 1;
-            }
-            self.slot_net
-                .swap((pos - 1) as usize, (target - 1) as usize);
-            if let Some(i) = self.slot_net[(target - 1) as usize] {
-                self.pos1[i] = target;
-            }
-            if let Some(i) = self.slot_net[(pos - 1) as usize] {
-                self.pos1[i] = pos;
-            }
-            if let Some(a) = &mut self.live {
-                a.swap(FingerIdx::new(pos), FingerIdx::new(target))?;
-            }
-
-            let ir_term_before = self.ir_term;
-            if ir_changed {
-                self.ir_term = self.ir.cost_term(self.weights.lambda, &self.pos1)?;
-            }
-            let new_cost = self.eval_cost(self.ir_term, self.id_value)?;
-            let delta = new_cost - self.current_cost;
-            let accept = if delta <= 0.0 {
-                true
-            } else {
-                self.acceptance
-                    .accepts(delta, self.temperature, self.rng.gen::<f64>())
-            };
-            if accept {
-                self.stats.accepted += 1;
-                if delta > 0.0 {
-                    self.stats.uphill_accepted += 1;
-                }
-                self.current_cost = new_cost;
-                self.ir.commit();
-                // Only the moved nets' row-neighbours see stale ranges.
-                self.cache.note_moved(mi, &self.pos1);
-                if let Some(ni) = neighbour {
-                    self.cache.note_moved(ni, &self.pos1);
-                }
-                self.journal.push((pos, target));
-                if self.current_cost < self.best_cost {
-                    self.best_cost = self.current_cost;
-                    self.best_len = self.journal.len();
-                }
-                if self.rec_on {
-                    recorder.record(&Event::MoveAccepted {
-                        step: self.stats.temperature_steps as u32,
-                        left_slot,
-                        delta,
-                        cost: new_cost,
-                        ir_term: self.ir_term,
-                        ir_changed,
-                        uphill: delta > 0.0,
-                    });
-                }
-            } else {
-                if self.rec_rejected {
-                    recorder.record(&Event::MoveRejected {
-                        step: self.stats.temperature_steps as u32,
-                        left_slot,
-                        delta,
-                    });
-                }
-                self.ir.discard();
-                self.ir_term = ir_term_before;
-                self.slot_net
-                    .swap((pos - 1) as usize, (target - 1) as usize); // revert
-                if let Some(i) = self.slot_net[(pos - 1) as usize] {
-                    self.pos1[i] = pos;
-                }
-                if let Some(i) = self.slot_net[(target - 1) as usize] {
-                    self.pos1[i] = target;
-                }
-                if let Some(a) = &mut self.live {
-                    a.swap(FingerIdx::new(pos), FingerIdx::new(target))?;
-                }
-                if crosses {
-                    let (l, r) = (left_net.expect("both set"), right_net.expect("both set"));
-                    self.sections.apply_adjacent_swap_idx(r, l);
-                    self.id_value = id_before;
-                }
-                if let Some(tracker) = &mut self.omega_tracker {
-                    tracker.apply_adjacent_swap(FingerIdx::new(left_slot));
-                }
-                if let Some(tracker) = &mut self.margin_tracker {
-                    tracker.apply_adjacent_swap(FingerIdx::new(left_slot));
-                }
-                self.ir.apply_adjacent_swap(FingerIdx::new(left_slot));
-            }
-        }
-        if self.rec_on {
+        let walk = &mut self.walk;
+        let step_start = walk.stats;
+        let ir_noop = match &mut self.ir {
+            IrEval::Off => walk.proposals(&mut NoIr, recorder, cancel),
+            IrEval::Proxy(tracker) => walk.proposals(tracker, recorder, cancel),
+            IrEval::Full(full) => walk.proposals(full, recorder, cancel),
+        }?;
+        if walk.rec_on {
+            let stats = &walk.stats;
             recorder.record(&Event::TempStep {
-                step: self.stats.temperature_steps as u32,
-                temperature: self.temperature,
-                proposed: (self.stats.proposed - step_start.proposed) as u64,
-                accepted: (self.stats.accepted - step_start.accepted) as u64,
-                uphill_accepted: (self.stats.uphill_accepted - step_start.uphill_accepted) as u64,
-                constraint_rejected: (self.stats.constraint_rejected
-                    - step_start.constraint_rejected) as u64,
-                ir_noop_applied: step_ir_noop,
-                cost: self.current_cost,
+                step: stats.temperature_steps as u32,
+                temperature: walk.temperature,
+                proposed: (stats.proposed - step_start.proposed) as u64,
+                accepted: (stats.accepted - step_start.accepted) as u64,
+                uphill_accepted: (stats.uphill_accepted - step_start.uphill_accepted) as u64,
+                constraint_rejected: (stats.constraint_rejected - step_start.constraint_rejected)
+                    as u64,
+                ir_noop_applied: ir_noop,
+                cost: walk.current_cost,
             });
         }
-        self.temperature *= self.cooling;
-        self.stats.temperature_steps += 1;
+        walk.temperature *= self.cooling;
+        walk.stats.temperature_steps += 1;
         Ok(())
     }
 
@@ -847,32 +757,253 @@ impl<'a> ExchangeDriver<'a> {
         &mut self,
         recorder: &mut dyn Recorder,
     ) -> Result<ExchangeResult, CoreError> {
+        let walk = &mut self.walk;
         // Rematerialise the best state: replay the accepted-move prefix
         // onto the initial order.
         let mut best = self.initial.clone();
-        for &(a, b) in &self.journal[..self.best_len] {
+        for &word in &walk.journal[..walk.best_len] {
+            let (a, b) = unpack(word);
             best.swap(FingerIdx::new(a), FingerIdx::new(b))?;
         }
         // The range constraint guarantees legality move by move; re-check
         // the final order for real (not just in debug builds) so a tracker
         // or journal defect can never escape as an unroutable "result".
         check_monotonic(self.quadrant, &best)?;
-        self.stats.final_cost = self.best_cost;
-        if self.rec_on {
+        walk.stats.final_cost = walk.best_cost;
+        if walk.rec_on {
             recorder.record(&Event::RunEnd {
-                final_cost: self.best_cost,
-                proposed: self.stats.proposed as u64,
-                accepted: self.stats.accepted as u64,
-                uphill_accepted: self.stats.uphill_accepted as u64,
-                constraint_rejected: self.stats.constraint_rejected as u64,
-                temperature_steps: self.stats.temperature_steps as u64,
+                final_cost: walk.best_cost,
+                proposed: walk.stats.proposed as u64,
+                accepted: walk.stats.accepted as u64,
+                uphill_accepted: walk.stats.uphill_accepted as u64,
+                constraint_rejected: walk.stats.constraint_rejected as u64,
+                temperature_steps: walk.stats.temperature_steps as u64,
             });
         }
         Ok(ExchangeResult {
             assignment: best,
-            stats: self.stats,
+            stats: walk.stats,
         })
     }
+}
+
+impl Walk {
+    /// Eq. 3, term by term in the reference order (the additions must
+    /// associate identically for bit-equal costs). The λ·Δ_IR term is the
+    /// cached [`Walk::ir_term`]: it is the only float-valued term, and
+    /// reusing the identical f64 across moves that leave the pad
+    /// coordinates untouched keeps bit-equality trivially intact.
+    #[inline]
+    fn eval_cost(&self) -> f64 {
+        let mut cost = 0.0;
+        if self.weights.lambda > 0.0 {
+            cost += self.ir_term;
+        }
+        if self.weights.rho > 0.0 {
+            cost += self.weights.rho * f64::from(self.id_value);
+        }
+        if let Some(omega) = self.omega.value(&self.slot_net) {
+            cost += self.weights.phi * omega as f64;
+        }
+        if let Some(margin) = &self.margin {
+            cost += self.weights.margin * margin.total() as f64;
+        }
+        cost
+    }
+
+    /// One temperature step's `moves_per_temp` proposals under the Δ_IR
+    /// term `ir`. Returns how many applied swaps left the term untouched
+    /// (counted only while recording, for `TempStep`).
+    ///
+    /// The RNG draws are the reference's, in its order: the mover
+    /// (`gen_range`), the direction (`gen_bool`), and the Metropolis draw
+    /// only for an uphill move.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Cancelled`] when `cancel` fires mid-step, or an error
+    /// of the full IR solve.
+    fn proposals<I: IrTerm>(
+        &mut self,
+        ir: &mut I,
+        recorder: &mut dyn Recorder,
+        cancel: &CancelToken,
+    ) -> Result<u64, CoreError> {
+        let mut ir_noop: u64 = 0;
+        let step = self.stats.temperature_steps as u32;
+        let picks = self.movable.len();
+        for _ in 0..self.moves_per_temp {
+            self.stats.proposed += 1;
+            if self.stats.proposed & CANCEL_POLL_MASK == 0 && cancel.is_cancelled() {
+                return Err(CoreError::Cancelled);
+            }
+            let mover = self.movable[self.rng.gen_range(0..picks)];
+            let pos = self.pos1[mover as usize];
+            let right = self.rng.gen_bool(0.5);
+            let target = if right {
+                if pos >= self.alpha {
+                    self.stats.constraint_rejected += 1;
+                    continue;
+                }
+                pos + 1
+            } else {
+                if pos == 1 {
+                    self.stats.constraint_rejected += 1;
+                    continue;
+                }
+                pos - 1
+            };
+
+            // Range constraint: the moved net must stay inside its span,
+            // and the displaced neighbour (if any) inside its own.
+            let (lo, hi) = self.cache.range(mover as usize);
+            if target < lo || target > hi {
+                self.stats.constraint_rejected += 1;
+                continue;
+            }
+            let neighbour = self.slot_net[target as usize - 1];
+            let occupied = neighbour != NO_NET;
+            if occupied {
+                let (lo, hi) = self.cache.range(neighbour as usize);
+                if pos < lo || pos > hi {
+                    self.stats.constraint_rejected += 1;
+                    continue;
+                }
+            }
+
+            // Apply the swap to the trackers (self-inverse on revert).
+            let left_slot = pos.min(target);
+            let (left_net, right_net) = if right {
+                (mover, neighbour)
+            } else {
+                (neighbour, mover)
+            };
+            // The section counts only change when exactly one of the two
+            // nets is a delimiter; skip the tracker (and the cached ID
+            // refresh) for the common within-section swap.
+            let crosses =
+                occupied && self.is_delim[mover as usize] != self.is_delim[neighbour as usize];
+            let id_before = self.id_value;
+            if crosses {
+                self.sections
+                    .apply_adjacent_swap_idx(left_net as usize, right_net as usize);
+                self.id_value = self.sections.increased_density();
+            }
+            self.omega.swap(left_slot);
+            if let Some(margin) = &mut self.margin {
+                margin.apply_adjacent_swap(FingerIdx::new(left_slot));
+            }
+            let ir_changed = ir.swap(left_slot);
+            if self.rec_on && !ir_changed {
+                ir_noop += 1;
+            }
+            self.slot_net.swap(pos as usize - 1, target as usize - 1);
+            self.pos1[mover as usize] = target;
+            if occupied {
+                self.pos1[neighbour as usize] = pos;
+            }
+
+            let ir_term_before = self.ir_term;
+            if ir_changed {
+                self.ir_term = ir.term(self.weights.lambda, &self.pos1)?;
+            }
+            let new_cost = self.eval_cost();
+            let delta = new_cost - self.current_cost;
+            let accept = delta <= 0.0
+                || self
+                    .acceptance
+                    .accepts(delta, self.temperature, self.rng.gen::<f64>());
+            if accept {
+                self.stats.accepted += 1;
+                if delta > 0.0 {
+                    self.stats.uphill_accepted += 1;
+                }
+                self.current_cost = new_cost;
+                ir.settle(true);
+                // Only the moved nets' row-neighbours see stale ranges.
+                self.cache.note_moved(mover as usize, &self.pos1);
+                if occupied {
+                    self.cache.note_moved(neighbour as usize, &self.pos1);
+                }
+                self.journal.push(pack(pos, target));
+                if self.current_cost < self.best_cost {
+                    self.best_cost = self.current_cost;
+                    self.best_len = self.journal.len();
+                }
+                if self.rec_on {
+                    recorder.record(&Event::MoveAccepted {
+                        step,
+                        left_slot,
+                        delta,
+                        cost: new_cost,
+                        ir_term: self.ir_term,
+                        ir_changed,
+                        uphill: delta > 0.0,
+                    });
+                }
+            } else {
+                if self.rec_rejected {
+                    recorder.record(&Event::MoveRejected {
+                        step,
+                        left_slot,
+                        delta,
+                    });
+                }
+                ir.settle(false);
+                self.ir_term = ir_term_before;
+                self.slot_net.swap(pos as usize - 1, target as usize - 1); // revert
+                self.pos1[mover as usize] = pos;
+                if occupied {
+                    self.pos1[neighbour as usize] = target;
+                }
+                if crosses {
+                    self.sections
+                        .apply_adjacent_swap_idx(right_net as usize, left_net as usize);
+                    self.id_value = id_before;
+                }
+                self.omega.swap(left_slot);
+                if let Some(margin) = &mut self.margin {
+                    margin.apply_adjacent_swap(FingerIdx::new(left_slot));
+                }
+                ir.revert(left_slot);
+            }
+        }
+        Ok(ir_noop)
+    }
+}
+
+/// Input validation shared by the kernel and [`exchange_reference`]:
+/// weights, schedule, a legal and complete initial order, tiers within ψ
+/// when ω can be scored, and a non-empty movable set, checked in that
+/// order. Returns the movable nets.
+fn validate(
+    quadrant: &Quadrant,
+    initial: &Assignment,
+    psi: u8,
+    config: &ExchangeConfig,
+) -> Result<Vec<NetId>, CoreError> {
+    if !config.weights.is_valid() {
+        return Err(CoreError::BadConfig {
+            parameter: "weights",
+        });
+    }
+    if !config.schedule.is_valid() {
+        return Err(CoreError::BadConfig {
+            parameter: "schedule",
+        });
+    }
+    check_monotonic(quadrant, initial)?;
+    initial.validate_complete(quadrant)?;
+    if psi > 1 {
+        // A planar exchange never scores ω; a stacked one may, so every
+        // tier must fit ψ (the first offender in id order is reported).
+        quadrant.nets().try_for_each(|n| check_tier(n.tier, psi))?;
+    }
+    let movable = movable_nets(quadrant, psi);
+    if movable.is_empty() {
+        return Err(CoreError::NoMovablePads);
+    }
+    Ok(movable)
 }
 
 /// The original from-scratch exchange implementation, kept as the
@@ -917,24 +1048,8 @@ pub fn exchange_reference_traced(
     config: &ExchangeConfig,
     recorder: &mut dyn Recorder,
 ) -> Result<ExchangeResult, CoreError> {
-    if !config.weights.is_valid() {
-        return Err(CoreError::BadConfig {
-            parameter: "weights",
-        });
-    }
-    if !config.schedule.is_valid() {
-        return Err(CoreError::BadConfig {
-            parameter: "schedule",
-        });
-    }
-    check_monotonic(quadrant, initial)?;
-    initial.validate_complete(quadrant)?;
-
     let psi = stack.tiers;
-    let movable = movable_nets(quadrant, psi);
-    if movable.is_empty() {
-        return Err(CoreError::NoMovablePads);
-    }
+    let movable = validate(quadrant, initial, psi, config)?;
 
     let alpha = initial.finger_count();
     let mut sections = SectionTracker::new(quadrant, initial)?;
@@ -1427,6 +1542,44 @@ mod tests {
                 f(&q, &initial, &StackConfig::planar(), &fast_config(0)),
                 Err(CoreError::NoMovablePads)
             ));
+        }
+    }
+
+    #[test]
+    fn tiers_above_psi_are_rejected_when_omega_can_be_scored() {
+        // Kernel and reference share the check, at entry, whatever φ is
+        // and whether the order is dense or sparse.
+        for (tier, fingers) in [(3u8, 12usize), (200, 12), (3, 15)] {
+            let q = Quadrant::builder()
+                .row([10u32, 2, 4, 7, 0])
+                .row([1u32, 3, 5, 8])
+                .row([11u32, 6, 9])
+                .net_kind(5u32, NetKind::Power)
+                .net_tier(4u32, TierId::new(tier))
+                .fingers(fingers)
+                .build()
+                .unwrap();
+            let initial = dfa(&q, 1).unwrap();
+            let stack = StackConfig::stacked(2).unwrap();
+            for phi in [0.25, 0.0] {
+                let mut cfg = fast_config(1);
+                cfg.weights.phi = phi;
+                for f in [exchange, exchange_reference] {
+                    assert_eq!(
+                        f(&q, &initial, &stack, &cfg),
+                        Err(CoreError::Geom(copack_geom::GeomError::TierOutOfRange {
+                            tier,
+                            tiers: 2
+                        })),
+                        "tier {tier}, {fingers} fingers, phi {phi}"
+                    );
+                }
+            }
+            // A planar exchange never scores ω, so it ignores tiers.
+            let planar = exchange(&q, &initial, &StackConfig::planar(), &fast_config(1)).unwrap();
+            let reference =
+                exchange_reference(&q, &initial, &StackConfig::planar(), &fast_config(1)).unwrap();
+            assert_eq!(planar, reference);
         }
     }
 

@@ -8,7 +8,7 @@
 //! perfectly, which is the configuration with the shortest bonding wires
 //! (the paper's Fig. 4(B)).
 
-use copack_geom::{Assignment, NetId, Quadrant, TierId};
+use copack_geom::{Assignment, GeomError, NetId, Quadrant, TierId};
 
 use crate::CoreError;
 
@@ -53,10 +53,7 @@ where
         let mut union = 0u64;
         for &net in group {
             let tier = tier_of(net);
-            assert!(
-                tier.get() <= psi,
-                "net {net} is on tier {tier} but psi = {psi}"
-            );
+            assert!(tier.get() <= psi, "net {net} is on {tier} but psi = {psi}");
             union |= tier.one_hot();
         }
         total += u64::from(psi) - u64::from((union & mask).count_ones());
@@ -69,7 +66,14 @@ where
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Geom`] if a placed net is unknown to the quadrant.
+/// Returns [`CoreError::Geom`] if a placed net is unknown to the quadrant
+/// ([`GeomError::UnknownNet`]) or sits on a tier above `psi`
+/// ([`GeomError::TierOutOfRange`]); the first such net in finger order is
+/// reported.
+///
+/// # Panics
+///
+/// Panics if `psi` is 0 or greater than 64, like [`omega`].
 pub fn omega_of_assignment(
     quadrant: &Quadrant,
     assignment: &Assignment,
@@ -77,15 +81,27 @@ pub fn omega_of_assignment(
 ) -> Result<u64, CoreError> {
     let order = assignment.order();
     for &net in &order {
-        if quadrant.net(net).is_none() {
-            return Err(copack_geom::GeomError::UnknownNet { net }.into());
-        }
+        let n = quadrant.net(net).ok_or(GeomError::UnknownNet { net })?;
+        check_tier(n.tier, psi)?;
     }
     Ok(omega(
         &order,
         |n| quadrant.net(n).expect("checked above").tier,
         psi,
     ))
+}
+
+/// [`GeomError::TierOutOfRange`] unless `tier ≤ psi`, the precondition of
+/// ω.
+pub(crate) fn check_tier(tier: TierId, psi: u8) -> Result<(), CoreError> {
+    if tier.get() > psi {
+        return Err(GeomError::TierOutOfRange {
+            tier: tier.get(),
+            tiers: psi,
+        }
+        .into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -166,6 +182,28 @@ mod tests {
         assert_eq!(omega_of_assignment(&q, &good, 2).unwrap(), 0);
         let bad = Assignment::from_order([1u32, 3, 2, 4]); // (1,1)(2,2) → 2
         assert_eq!(omega_of_assignment(&q, &bad, 2).unwrap(), 2);
+    }
+
+    #[test]
+    fn assignment_wrapper_rejects_tiers_above_psi_with_a_typed_error() {
+        // The circuit format accepts tiers up to 255: a net above ψ is an
+        // input error at every ψ, including tiers past the 64-bit codes.
+        for (tier, psi) in [(3u8, 2u8), (2, 1), (200, 2), (65, 64)] {
+            let q = Quadrant::builder()
+                .row([1u32, 2])
+                .net_tier(2u32, TierId::new(tier))
+                .build()
+                .unwrap();
+            let a = Assignment::from_order([1u32, 2]);
+            assert_eq!(
+                omega_of_assignment(&q, &a, psi),
+                Err(CoreError::Geom(GeomError::TierOutOfRange {
+                    tier,
+                    tiers: psi
+                })),
+                "tier {tier} at psi {psi}"
+            );
+        }
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl Codesign {
     ///
     /// # Errors
     ///
-    /// Propagates errors from any stage; see [`exchange`] for the
+    /// Propagates errors from any stage; see [`exchange`](fn@crate::exchange) for the
     /// exchange-step conditions.
     pub fn run(&self, quadrant: &Quadrant) -> Result<CodesignReport, CoreError> {
         self.run_traced(quadrant, &mut NoopRecorder)

@@ -65,11 +65,11 @@
 //! kick swaps) and prepending it on reduction, so the replay contract
 //! holds in every mode.
 
-use copack_geom::{Assignment, FingerIdx, NetId, Quadrant, StackConfig};
+use copack_geom::{Assignment, FingerIdx, Quadrant, StackConfig};
 use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
 use copack_route::RangeCache;
 
-use crate::exchange::ExchangeDriver;
+use crate::exchange::{slot_tables, ExchangeDriver, NO_NET};
 use crate::package_plan::effective_threads;
 use crate::{CancelToken, CoreError, ExchangeConfig, ExchangeResult};
 
@@ -334,15 +334,7 @@ fn kick_plan(
         return Ok(Vec::new());
     }
     let mut cache = RangeCache::new(quadrant, a)?;
-    let ids: Vec<NetId> = quadrant.nets().map(|n| n.id).collect();
-    let mut pos1: Vec<u32> = vec![0; ids.len()];
-    let mut slot_net: Vec<Option<usize>> = vec![None; alpha];
-    for (i, &id) in ids.iter().enumerate() {
-        if let Some(p) = a.position_of(id) {
-            pos1[i] = p.get();
-            slot_net[p.zero_based()] = Some(i);
-        }
-    }
+    let (mut pos1, mut slot_net) = slot_tables(quadrant, a);
     let mut swaps = Vec::with_capacity(kick_size as usize);
     let mut state = seed;
     for _ in 0..kick_size.saturating_mul(8) {
@@ -356,15 +348,17 @@ fn kick_plan(
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         let s = 1 + u32::try_from(z % (alpha as u64 - 1)).expect("slot fits u32");
-        let (Some(li), Some(ri)) = (slot_net[(s - 1) as usize], slot_net[s as usize]) else {
+        let (li, ri) = (slot_net[(s - 1) as usize], slot_net[s as usize]);
+        if li == NO_NET || ri == NO_NET {
             continue;
-        };
+        }
+        let (li, ri) = (li as usize, ri as usize);
         let (llo, lhi) = cache.range(li);
-        if s + 1 < llo.get() || s + 1 > lhi.get() {
+        if s + 1 < llo || s + 1 > lhi {
             continue;
         }
         let (rlo, rhi) = cache.range(ri);
-        if s < rlo.get() || s > rhi.get() {
+        if s < rlo || s > rhi {
             continue;
         }
         a.swap(FingerIdx::new(s), FingerIdx::new(s + 1))?;
@@ -789,7 +783,7 @@ pub fn exchange_portfolio_cancellable(
                 .expect("start 0 is never removed");
             let mut full = leader.prefix.clone();
             match (&leader.driver, &leader.frozen) {
-                (Some(d), _) => full.extend_from_slice(&d.journal()[..d.best_len()]),
+                (Some(d), _) => full.extend(d.journal().take(d.best_len())),
                 (None, Some(f)) => full.extend_from_slice(&f.0[..f.1]),
                 (None, None) => unreachable!("leader candidates hold a driver or a frozen run"),
             }
@@ -862,7 +856,7 @@ pub fn exchange_portfolio_cancellable(
             };
             let best_len = prefix.len() + driver.best_len();
             let mut journal = prefix;
-            journal.extend_from_slice(driver.journal());
+            journal.extend(driver.journal());
             (result, journal, best_len)
         } else {
             let (own, own_best, stats) = run.frozen.take().expect("pruned winner was frozen");

@@ -8,8 +8,11 @@
 //! trackers implement them; property tests pin them to the from-scratch
 //! definitions ([`crate::SectionBaseline`], [`crate::omega`]).
 
-use copack_geom::{Assignment, FingerIdx, NetId, NetIndex, NetKind, Quadrant, TierId};
+use std::fmt;
 
+use copack_geom::{Assignment, FingerIdx, NetId, NetIndex, NetKind, Quadrant};
+
+use crate::omega::check_tier;
 use crate::{CoreError, SectionBaseline};
 
 /// Incrementally tracked top-line section counts (Eq. 2's `I_c`).
@@ -160,11 +163,16 @@ impl SectionTracker {
 }
 
 /// Incrementally tracked ω (the stacking bonding-wire metric).
+///
+/// Each slot holds its net's one-hot tier bit (`UP_d`, inside the ψ-bit
+/// mask because every tier is checked against ψ at construction), and
+/// each ψ-sized group its zero-bit count, so an adjacent swap that
+/// crosses a group boundary re-ORs two groups of ψ words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OmegaTracker {
-    psi: u8,
-    /// Tier of the net in each slot (dense orders only).
-    tiers: Vec<TierId>,
+    psi: usize,
+    /// One-hot tier bit of the net in each slot (dense orders only).
+    bits: Vec<u64>,
     /// Zero-bit count of each ψ-sized group.
     group_zeros: Vec<u32>,
     omega: u64,
@@ -175,53 +183,38 @@ impl OmegaTracker {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Geom`] for unknown nets, or
+    /// Returns [`CoreError::Geom`] for unknown nets or a net whose tier
+    /// exceeds `psi` ([`copack_geom::GeomError::TierOutOfRange`]), or
     /// [`CoreError::BadConfig`] if the assignment has empty slots (the
     /// incremental update tracks slots, not nets).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` is 0 or greater than 64, like [`crate::omega`].
     pub fn new(quadrant: &Quadrant, assignment: &Assignment, psi: u8) -> Result<Self, CoreError> {
+        assert!((1..=64).contains(&psi), "psi must be in 1..=64");
         if assignment.net_count() != assignment.finger_count() {
             return Err(CoreError::BadConfig {
                 parameter: "assignment (must be dense)",
             });
         }
-        let mut tiers = Vec::with_capacity(assignment.finger_count());
+        let mut bits = Vec::with_capacity(assignment.finger_count());
         for (_, net) in assignment.iter() {
             let n = quadrant
                 .net(net)
                 .ok_or(copack_geom::GeomError::UnknownNet { net })?;
-            tiers.push(n.tier);
+            check_tier(n.tier, psi)?;
+            bits.push(n.tier.one_hot());
         }
-        let mut tracker = Self {
+        let psi = usize::from(psi);
+        let group_zeros: Vec<u32> = bits.chunks(psi).map(|g| zeros(g, psi)).collect();
+        let omega = group_zeros.iter().map(|&z| u64::from(z)).sum();
+        Ok(Self {
             psi,
-            tiers,
-            group_zeros: Vec::new(),
-            omega: 0,
-        };
-        tracker.rebuild();
-        Ok(tracker)
-    }
-
-    fn rebuild(&mut self) {
-        let psi = self.psi as usize;
-        self.group_zeros = self
-            .tiers
-            .chunks(psi)
-            .map(|group| Self::zeros(group, self.psi))
-            .collect();
-        self.omega = self.group_zeros.iter().map(|&z| u64::from(z)).sum();
-    }
-
-    fn zeros(group: &[TierId], psi: u8) -> u32 {
-        let mask: u64 = if psi == 64 {
-            u64::MAX
-        } else {
-            (1u64 << psi) - 1
-        };
-        let mut union = 0u64;
-        for t in group {
-            union |= t.one_hot();
-        }
-        u32::from(psi) - (union & mask).count_ones()
+            bits,
+            group_zeros,
+            omega,
+        })
     }
 
     /// Applies an adjacent swap of slots `pos` and `pos + 1` (0-based).
@@ -231,18 +224,25 @@ impl OmegaTracker {
     ///
     /// Panics if `pos + 1` is out of range.
     pub fn apply_adjacent_swap(&mut self, pos: FingerIdx) {
-        let i = pos.zero_based();
-        assert!(i + 1 < self.tiers.len(), "swap out of range");
-        self.tiers.swap(i, i + 1);
-        let psi = self.psi as usize;
-        let (ga, gb) = (i / psi, (i + 1) / psi);
-        if ga == gb {
-            return; // same group: union unchanged
+        self.swap_slots(pos.zero_based());
+    }
+
+    /// [`OmegaTracker::apply_adjacent_swap`] on 0-based slots `i` and
+    /// `i + 1`.
+    #[inline]
+    pub(crate) fn swap_slots(&mut self, i: usize) {
+        assert!(i + 1 < self.bits.len(), "swap out of range");
+        self.bits.swap(i, i + 1);
+        // The swap crosses a group boundary iff `i + 1` starts a group;
+        // within one group the union is unchanged.
+        if (i + 1) % self.psi != 0 {
+            return;
         }
-        for g in [ga, gb] {
-            let start = g * psi;
-            let end = (start + psi).min(self.tiers.len());
-            let new_zeros = Self::zeros(&self.tiers[start..end], self.psi);
+        let right = (i + 1) / self.psi;
+        for g in [right - 1, right] {
+            let start = g * self.psi;
+            let end = (start + self.psi).min(self.bits.len());
+            let new_zeros = zeros(&self.bits[start..end], self.psi);
             self.omega -= u64::from(self.group_zeros[g]);
             self.omega += u64::from(new_zeros);
             self.group_zeros[g] = new_zeros;
@@ -255,6 +255,15 @@ impl OmegaTracker {
         self.omega
     }
 }
+
+/// Zero bits of one group's union: ψ minus the tiers present.
+fn zeros(group: &[u64], psi: usize) -> u32 {
+    let union = group.iter().fold(0u64, |u, &b| u | b);
+    psi as u32 - union.count_ones()
+}
+
+/// Rank sentinel of [`DeltaIrTracker`]'s slot table: no power pad here.
+const NO_PAD: u32 = u32::MAX;
 
 /// Incrementally tracked Δ_IR pad-spacing proxy (Eq. 3's first term).
 ///
@@ -271,21 +280,51 @@ impl OmegaTracker {
 ///   another power pad (that pad would have been the swap partner), so its
 ///   sorted rank is stable and only its value changes.
 ///
-/// [`DeltaIrTracker::delta_ir`] then sums the squared gap deviations in
+/// [`DeltaIrTracker::delta_ir`] sums the squared gap deviations in
 /// exactly the order `PadSpacingProxy::delta_ir` does (windows left to
 /// right, wrap gap last), so the score is **bit-identical** to the
 /// from-scratch rebuild — the annealer's accept/reject trajectory cannot
-/// diverge. The read is `O(k)` in the power-pad count, which the cost
-/// model treats as `O(1)`: `k` is a small constant fraction of the design
-/// and no allocation or sort happens.
-#[derive(Debug, Clone, PartialEq)]
+/// diverge.
+///
+/// The read is prefix-cached. `prefix[j]` holds the running sum after
+/// window term `j` (the gap between ranks `j` and `j + 1`), and the
+/// watermark counts the entries still valid. Moving the pad of rank `r`
+/// changes only window terms `r − 1` and `r` (and the wrap term, which
+/// every read recomputes), so it lowers the watermark to `r − 1`; a read
+/// resumes from the last valid running sum and re-adds only the windows
+/// after it. Each addition has the operands of the from-scratch loop in
+/// its order, so the cache never changes a bit. The cache is derived
+/// state: equality and `Debug` ignore it.
+#[derive(Clone)]
 pub struct DeltaIrTracker {
     /// Finger count as `f64`, the coordinate denominator.
     alpha: f64,
     /// Power-pad perimeter coordinates, sorted ascending.
     ts: Vec<f64>,
-    /// Rank in `ts` of the power pad occupying each 0-based slot.
-    rank_of_slot: Vec<Option<usize>>,
+    /// Rank in `ts` of the power pad occupying each 0-based slot
+    /// ([`NO_PAD`] for a slot without one).
+    rank_of_slot: Vec<u32>,
+    /// `prefix[j]`: the running sum after window term `j` (`k − 1`
+    /// entries for `k` pads).
+    prefix: Vec<f64>,
+    /// Number of leading `prefix` entries that are valid.
+    fresh: usize,
+}
+
+impl PartialEq for DeltaIrTracker {
+    fn eq(&self, other: &Self) -> bool {
+        self.alpha == other.alpha && self.ts == other.ts && self.rank_of_slot == other.rank_of_slot
+    }
+}
+
+impl fmt::Debug for DeltaIrTracker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DeltaIrTracker")
+            .field("alpha", &self.alpha)
+            .field("ts", &self.ts)
+            .field("rank_of_slot", &self.rank_of_slot)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DeltaIrTracker {
@@ -305,14 +344,16 @@ impl DeltaIrTracker {
         }
         // Sorting the slots sorts the coordinates: t is monotone in the slot.
         slots.sort_unstable();
-        let mut rank_of_slot = vec![None; alpha];
+        let mut rank_of_slot = vec![NO_PAD; alpha];
         let mut ts = Vec::with_capacity(slots.len());
         for (rank, &slot) in slots.iter().enumerate() {
-            rank_of_slot[slot] = Some(rank);
+            rank_of_slot[slot] = u32::try_from(rank).expect("pad rank fits u32");
             ts.push(Self::coordinate(slot, alpha as f64));
         }
         Ok(Self {
             alpha: alpha as f64,
+            prefix: vec![0.0; ts.len().saturating_sub(1)],
+            fresh: 0,
             ts,
             rank_of_slot,
         })
@@ -344,25 +385,42 @@ impl DeltaIrTracker {
     ///
     /// Panics if `pos + 1` is out of range.
     pub fn apply_adjacent_swap(&mut self, pos: FingerIdx) -> bool {
-        let i = pos.zero_based();
+        self.move_pad(pos.zero_based())
+    }
+
+    /// Undoes [`DeltaIrTracker::apply_adjacent_swap`] at the same `pos`,
+    /// as the annealer does for a rejected move. The pad moves back, so
+    /// the watermark drops again: a read between the swap and its revert
+    /// has re-summed the windows after the pad for the swapped state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos + 1` is out of range.
+    pub fn revert_adjacent_swap(&mut self, pos: FingerIdx) {
+        self.move_pad(pos.zero_based());
+    }
+
+    /// The swap of 0-based slots `i` and `i + 1`; `true` iff a pad moved.
+    fn move_pad(&mut self, i: usize) -> bool {
         assert!(i + 1 < self.rank_of_slot.len(), "swap out of range");
-        match (self.rank_of_slot[i], self.rank_of_slot[i + 1]) {
-            // Two power pads exchange nets: the occupied slots — and hence
-            // the coordinates — are unchanged.
-            (Some(_), Some(_)) | (None, None) => false,
-            (Some(rank), None) => {
-                self.rank_of_slot[i] = None;
-                self.rank_of_slot[i + 1] = Some(rank);
-                self.ts[rank] = Self::coordinate(i + 1, self.alpha);
-                true
-            }
-            (None, Some(rank)) => {
-                self.rank_of_slot[i + 1] = None;
-                self.rank_of_slot[i] = Some(rank);
-                self.ts[rank] = Self::coordinate(i, self.alpha);
-                true
-            }
+        let (left, right) = (self.rank_of_slot[i], self.rank_of_slot[i + 1]);
+        // Two power pads exchange nets, or neither slot holds one: the
+        // occupied slots — and hence the coordinates — are unchanged.
+        if (left == NO_PAD) == (right == NO_PAD) {
+            return false;
         }
+        let (rank, to) = if left == NO_PAD {
+            (right, i)
+        } else {
+            (left, i + 1)
+        };
+        self.rank_of_slot[i] = right;
+        self.rank_of_slot[i + 1] = left;
+        let r = rank as usize;
+        self.ts[r] = Self::coordinate(to, self.alpha);
+        // Window terms `r − 1` and `r` read `ts[r]`.
+        self.fresh = self.fresh.min(r.saturating_sub(1));
+        true
     }
 
     /// The pad-spacing score, bit-identical to
@@ -370,19 +428,26 @@ impl DeltaIrTracker {
     /// visited in the proxy's order (sorted windows, then the wrap-around
     /// gap) and summed left to right. Returns `0.0` with no power pads —
     /// callers guard that case like the naive path guards an empty `ts`.
+    ///
+    /// Re-adds only the window terms after the watermark (see the type
+    /// docs) and advances it to the end.
     #[must_use]
-    pub fn delta_ir(&self) -> f64 {
+    pub fn delta_ir(&mut self) -> f64 {
         let k = self.ts.len();
         if k == 0 {
             return 0.0;
         }
         let ideal = 1.0 / k as f64;
-        let mut sum = 0.0;
-        for w in self.ts.windows(2) {
-            sum += (w[1] - w[0] - ideal).powi(2);
+        let mut sum = match self.fresh {
+            0 => 0.0,
+            w => self.prefix[w - 1],
+        };
+        for j in self.fresh..k - 1 {
+            sum += (self.ts[j + 1] - self.ts[j] - ideal).powi(2);
+            self.prefix[j] = sum;
         }
-        sum += (1.0 - self.ts[k - 1] + self.ts[0] - ideal).powi(2);
-        sum
+        self.fresh = k - 1;
+        sum + (1.0 - self.ts[k - 1] + self.ts[0] - ideal).powi(2)
     }
 }
 
@@ -485,7 +550,7 @@ mod tests {
     fn delta_ir_tracker_matches_proxy_at_construction() {
         let q = quadrant();
         let a = dfa(&q, 1).unwrap();
-        let ir = DeltaIrTracker::new(&q, &a).unwrap();
+        let mut ir = DeltaIrTracker::new(&q, &a).unwrap();
         assert_eq!(ir.power_pad_count(), 3);
         assert_eq!(ir.delta_ir(), delta_ir_from_scratch(&q, &a));
     }
@@ -494,7 +559,7 @@ mod tests {
     fn delta_ir_tracker_handles_powerless_quadrants() {
         let q = Quadrant::builder().row([1u32, 2]).build().unwrap();
         let a = Assignment::from_order([1u32, 2]);
-        let ir = DeltaIrTracker::new(&q, &a).unwrap();
+        let mut ir = DeltaIrTracker::new(&q, &a).unwrap();
         assert_eq!(ir.power_pad_count(), 0);
         assert_eq!(ir.delta_ir(), 0.0);
     }

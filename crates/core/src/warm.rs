@@ -194,7 +194,7 @@ fn start_heat(
 /// shortened [`warm_schedule`]. Deterministic for a fixed
 /// `(previous, config)` — repair is pure and the annealer is seeded.
 ///
-/// Below [`WARM_SCRATCH_CUTOFF`] fingers the edited quadrant is simply
+/// Below `WARM_SCRATCH_CUTOFF` (48) fingers the edited quadrant is simply
 /// planned from scratch — same DFA start, same schedule, same seed as a
 /// cold run, so the result is *bit-identical* to from-scratch and the
 /// replan equivalence holds by construction (a tiny anneal is
@@ -207,9 +207,9 @@ fn start_heat(
 /// a *cheap* repaired start gets a *cold* walk — too cold to rearrange
 /// the supply-pad spacing an edit obsoleted, whatever the schedule
 /// length. The warm path therefore compares the repaired start's heat
-/// against a fresh DFA construction's ([`start_heat`], one O(n)
+/// against a fresh DFA construction's (`start_heat`: λ·Δ_IR + μ·SM, one O(n)
 /// evaluation each) and scales `initial_temp_factor` by the ratio
-/// `fresh/repaired` (capped at [`MAX_REHEAT_SCALE`]), so the warm
+/// `fresh/repaired` (capped at `MAX_REHEAT_SCALE`, 64), so the warm
 /// anneal reheats to the same **absolute** temperature a cold run
 /// would start at. Basin escape then no longer depends on how cheap
 /// the start happens to be, and since the returned plan is the running

@@ -11,9 +11,9 @@ use std::fmt::Write as _;
 /// Which grid solver emitted a solver event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
-    /// Successive over-relaxation ([`solve_sor`-family]).
+    /// Successive over-relaxation (the `copack_power::solve_sor` family).
     Sor,
-    /// Conjugate gradient ([`solve_cg`-family]).
+    /// Conjugate gradient (the `copack_power::solve_cg` family).
     Cg,
 }
 
@@ -164,7 +164,7 @@ pub enum Event {
         total_wirelength: f64,
     },
     /// A package side's plan is about to be replayed into the merged
-    /// trace (sides always merge in [`QuadrantSide::ALL`] order).
+    /// trace (sides always merge in `copack_geom::QuadrantSide::ALL` order).
     SideBegin {
         /// Side index, 0..4.
         side: u8,

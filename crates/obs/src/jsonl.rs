@@ -43,7 +43,7 @@ impl std::error::Error for ObsError {
 /// Recording stages the event in an in-memory queue (a cheap clone, tens
 /// of nanoseconds) so the annealer's hot loop never pays for JSON
 /// serialisation; the queue is serialised and written out every
-/// [`DRAIN_THRESHOLD`] events and at [`finish`](Self::finish). This is
+/// `DRAIN_THRESHOLD` (65 536) events and at [`finish`](Self::finish). This is
 /// what keeps the kernel's moves/sec within budget with a live sink —
 /// `bench_exchange` measures it.
 ///

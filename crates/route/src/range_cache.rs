@@ -8,9 +8,12 @@
 //! moved). [`RangeCache`] exploits that: range reads become two array
 //! loads, and accepted swaps trigger a constant-size refresh.
 
-use copack_geom::{Assignment, FingerIdx, NetId, NetIndex, Quadrant};
+use copack_geom::{Assignment, NetId, NetIndex, Quadrant};
 
 use crate::{exchange_range, RouteError};
+
+/// Row-neighbour sentinel: the net is at the end of its row.
+const NO_NEIGHBOUR: u32 = u32::MAX;
 
 /// Per-net cached `(lo, hi)` exchange ranges with `O(1)` reads and
 /// constant-size invalidation on adjacent swaps.
@@ -24,14 +27,20 @@ use crate::{exchange_range, RouteError};
 ///
 /// Cached ranges are guaranteed to equal [`exchange_range`] on the live
 /// assignment (property-tested in this crate).
+///
+/// Every table is a flat `u32` array over the dense index: ranges are raw
+/// 1-based finger numbers, and a missing row neighbour is a sentinel
+/// rather than an `Option`, so the annealer's per-proposal reads stay
+/// within a few cache lines even at thousands of nets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeCache {
     index: NetIndex,
-    /// Same-row left/right neighbour of each net, as dense indices.
-    left: Vec<Option<usize>>,
-    right: Vec<Option<usize>>,
-    lo: Vec<u32>,
-    hi: Vec<u32>,
+    /// Same-row left/right neighbour of each net, as dense indices
+    /// ([`NO_NEIGHBOUR`] at a row end).
+    left: Vec<u32>,
+    right: Vec<u32>,
+    /// `(lo, hi)` of each net, side by side so a read touches one line.
+    bounds: Vec<[u32; 2]>,
     finger_count: u32,
 }
 
@@ -44,29 +53,29 @@ impl RangeCache {
     pub fn new(quadrant: &Quadrant, assignment: &Assignment) -> Result<Self, RouteError> {
         let index = quadrant.net_index().clone();
         let count = index.len();
-        let mut left = vec![None; count];
-        let mut right = vec![None; count];
+        let dense = |net: NetId| {
+            let i = index.get(net).expect("row net is interned");
+            u32::try_from(i).expect("net index fits u32")
+        };
+        let mut left = vec![NO_NEIGHBOUR; count];
+        let mut right = vec![NO_NEIGHBOUR; count];
         for (_, nets) in quadrant.rows_bottom_up() {
             for w in nets.windows(2) {
-                let a = index.get(w[0]).expect("row net is interned");
-                let b = index.get(w[1]).expect("row net is interned");
-                right[a] = Some(b);
-                left[b] = Some(a);
+                let (a, b) = (dense(w[0]), dense(w[1]));
+                right[a as usize] = b;
+                left[b as usize] = a;
             }
         }
-        let mut lo = vec![0u32; count];
-        let mut hi = vec![0u32; count];
+        let mut bounds = vec![[0u32; 2]; count];
         for (i, &net) in index.ids().iter().enumerate() {
             let (l, h) = exchange_range(quadrant, assignment, net)?;
-            lo[i] = l.get();
-            hi[i] = h.get();
+            bounds[i] = [l.get(), h.get()];
         }
         Ok(Self {
             index,
             left,
             right,
-            lo,
-            hi,
+            bounds,
             finger_count: u32::try_from(assignment.finger_count()).expect("finger count fits u32"),
         })
     }
@@ -80,17 +89,21 @@ impl RangeCache {
     /// Number of cached nets.
     #[must_use]
     pub fn net_count(&self) -> usize {
-        self.lo.len()
+        self.bounds.len()
     }
 
-    /// Cached inclusive range of the net at dense index `idx`.
+    /// Cached inclusive range `(lo, hi)` of the net at dense index `idx`,
+    /// as raw 1-based finger numbers (the values of the
+    /// [`copack_geom::FingerIdx`] pair [`exchange_range`] returns).
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     #[must_use]
-    pub fn range(&self, idx: usize) -> (FingerIdx, FingerIdx) {
-        (FingerIdx::new(self.lo[idx]), FingerIdx::new(self.hi[idx]))
+    #[inline]
+    pub fn range(&self, idx: usize) -> (u32, u32) {
+        let [lo, hi] = self.bounds[idx];
+        (lo, hi)
     }
 
     /// Refreshes the entries invalidated by the net at `idx` having moved:
@@ -103,12 +116,15 @@ impl RangeCache {
     /// # Panics
     ///
     /// Panics if `idx` or a neighbour index exceeds `positions`.
+    #[inline]
     pub fn note_moved(&mut self, idx: usize, positions: &[u32]) {
-        if let Some(r) = self.right[idx] {
-            self.lo[r] = positions[idx] + 1;
+        let r = self.right[idx];
+        if r != NO_NEIGHBOUR {
+            self.bounds[r as usize][0] = positions[idx] + 1;
         }
-        if let Some(l) = self.left[idx] {
-            self.hi[l] = positions[idx].saturating_sub(1).max(1);
+        let l = self.left[idx];
+        if l != NO_NEIGHBOUR {
+            self.bounds[l as usize][1] = positions[idx].saturating_sub(1).max(1);
         }
     }
 
@@ -122,7 +138,7 @@ impl RangeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copack_geom::Quadrant;
+    use copack_geom::{FingerIdx, Quadrant};
 
     fn fig5() -> Quadrant {
         Quadrant::builder()
@@ -143,8 +159,8 @@ mod tests {
         for net in q.nets() {
             let i = cache.index_of(net.id).unwrap();
             let cached = cache.range(i);
-            let fresh = exchange_range(q, a, net.id).unwrap();
-            assert_eq!(cached, fresh, "net {}", net.id.raw());
+            let (lo, hi) = exchange_range(q, a, net.id).unwrap();
+            assert_eq!(cached, (lo.get(), hi.get()), "net {}", net.id.raw());
         }
     }
 
@@ -158,8 +174,7 @@ mod tests {
         assert_matches_recompute(&cache, &q, &a);
         // The paper's worked example: net 6 ranges over F3..F7.
         let i = cache.index_of(NetId::new(6)).unwrap();
-        let (lo, hi) = cache.range(i);
-        assert_eq!((lo.get(), hi.get()), (3, 7));
+        assert_eq!(cache.range(i), (3, 7));
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub struct JobOutput {
 
 /// Content-addressed key for `(instance, config)`.
 ///
-/// Hashes the [`KEY_DOMAIN`] tag, each result-affecting spec field in a
+/// Hashes the `KEY_DOMAIN` tag, each result-affecting spec field in a
 /// fixed order, then the canonical circuit serialization. Exchange-only
 /// parameters (`psi`, `exchange_seed`) are folded in **only when the
 /// exchange pass is enabled** — with it disabled they cannot affect the

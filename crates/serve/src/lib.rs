@@ -6,7 +6,7 @@
 //! configurations. This crate turns the one-shot `copack plan` pipeline
 //! into a daemon built for that workload:
 //!
-//! * **Protocol** ([`protocol`]) — newline-delimited JSON frames over a
+//! * **Protocol** ([`Request`], [`Response`]) — newline-delimited JSON frames over a
 //!   local TCP socket; every failure is a typed [`ServeError`], never a
 //!   dropped connection. Batches stream per-item frames in completion
 //!   order, closed by a summary frame.

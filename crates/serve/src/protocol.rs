@@ -671,7 +671,7 @@ pub fn decode_response(line: &str) -> Result<Response, ServeError> {
     Ok(Response::Plan(decode_plan_fields(&json, bad)?))
 }
 
-/// What [`LineReader::next`] produced.
+/// What [`LineReader::next_frame`] produced.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Frame {
     /// One complete line (newline stripped).

@@ -101,3 +101,38 @@ fn missing_file_exits_nonzero() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("file.copack"));
 }
+
+/// A net whose tier exceeds ψ is an input error: `check` and a stacked
+/// `plan --exchange` exit 1 with a one-line `error:`, never a panic
+/// (exit 101) — also for tiers past the 64-bit tier codes.
+#[test]
+fn tiers_above_psi_exit_with_an_error_not_a_panic() {
+    let dir = TestDir::new("tiers");
+    let circuit = dir.path("c1.copack");
+    let out = copack(&["gen", "1", "--out", circuit.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&circuit).unwrap();
+    assert!(
+        text.contains("\nnet 4 power\n"),
+        "circuit 1 has power net 4"
+    );
+    for tier in [3u32, 200] {
+        let bad = dir.path(&format!("tier{tier}.copack"));
+        let edited = text.replace("\nnet 4 power\n", &format!("\nnet 4 power tier={tier}\n"));
+        std::fs::write(&bad, edited).unwrap();
+        let bad = bad.to_str().unwrap();
+        for args in [
+            vec!["check", bad, "--psi", "2"],
+            vec!["plan", bad, "--exchange", "--psi", "2"],
+        ] {
+            let out = copack(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("tier {tier} exceeds the stack's 2 tiers")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}

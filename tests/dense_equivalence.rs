@@ -127,9 +127,10 @@ fn range_cache_matches_the_keyed_model_and_the_direct_recompute() {
                 Some(i),
                 "cache index order is the keyed iteration order"
             );
+            let (lo, hi) = exchange_range(&quadrant, &assignment, net).expect("range");
             assert_eq!(
                 cache.range(i),
-                exchange_range(&quadrant, &assignment, net).expect("range"),
+                (lo.get(), hi.get()),
                 "primed range of {net:?}"
             );
         }

@@ -217,34 +217,46 @@ proptest! {
 
     /// Replaying an arbitrary accepted/rejected move sequence through the
     /// Δ_IR tracker reproduces the from-scratch pad-spacing proxy **bit
-    /// for bit** after every step (a rejected move is a swap immediately
-    /// re-applied, exactly as the annealer reverts).
+    /// for bit** at every read. A rejected move is reverted with
+    /// `revert_adjacent_swap`, as the annealer does. Reads come at random
+    /// points (between a swap and its revert, after the revert, or not for
+    /// several moves), so the prefix cache is resumed from every kind of
+    /// watermark.
     #[test]
     fn delta_ir_tracker_replays_match_the_proxy(
         q in quadrant_strategy(),
-        moves in prop::collection::vec((any::<u64>(), any::<bool>()), 1..40),
+        moves in prop::collection::vec((any::<u64>(), any::<bool>(), 0u8..4), 1..60),
     ) {
         prop_assume!(q.nets_of_kind(NetKind::Power).next().is_some());
         let mut a = dfa(&q, 1).expect("dfa");
         let alpha = a.finger_count();
         prop_assume!(alpha >= 2);
-        let mut tracker = DeltaIrTracker::new(&q, &a).expect("tracker");
-        for (pick, accepted) in moves {
-            let left = 1 + (pick % (alpha as u64 - 1)) as u32;
-            tracker.apply_adjacent_swap(FingerIdx::new(left));
-            a.swap(FingerIdx::new(left), FingerIdx::new(left + 1)).expect("swap");
-            if !accepted {
-                tracker.apply_adjacent_swap(FingerIdx::new(left));
-                a.swap(FingerIdx::new(left), FingerIdx::new(left + 1)).expect("swap");
-            }
+        let fresh = |a: &copack::geom::Assignment| {
             let ts: Vec<f64> = q
                 .nets_of_kind(NetKind::Power)
                 .filter_map(|n| a.position_of(n))
                 .map(|f| (f.get() as f64 - 0.5) / alpha as f64)
                 .collect();
-            let fresh = PadSpacingProxy::new(&ts).expect("proxy").delta_ir();
-            prop_assert_eq!(tracker.delta_ir().to_bits(), fresh.to_bits());
+            PadSpacingProxy::new(&ts).expect("proxy").delta_ir()
+        };
+        let mut tracker = DeltaIrTracker::new(&q, &a).expect("tracker");
+        for (pick, accepted, reads) in moves {
+            let left = FingerIdx::new(1 + (pick % (alpha as u64 - 1)) as u32);
+            let right = FingerIdx::new(left.get() + 1);
+            tracker.apply_adjacent_swap(left);
+            a.swap(left, right).expect("swap");
+            if reads & 1 == 1 {
+                prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a).to_bits());
+            }
+            if !accepted {
+                tracker.revert_adjacent_swap(left);
+                a.swap(left, right).expect("swap");
+            }
+            if reads & 2 == 2 {
+                prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a).to_bits());
+            }
         }
+        prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a).to_bits());
     }
 
     /// A [`RangeCache`] refreshed only via `note_moved` on accepted moves
@@ -283,8 +295,8 @@ proptest! {
             }
             for net in q.nets() {
                 let i = cache.index_of(net.id).expect("known");
-                let fresh = exchange_range(&q, &a, net.id).expect("range");
-                prop_assert_eq!(cache.range(i), fresh, "net {}", net.id.raw());
+                let (lo, hi) = exchange_range(&q, &a, net.id).expect("range");
+                prop_assert_eq!(cache.range(i), (lo.get(), hi.get()), "net {}", net.id.raw());
             }
         }
     }
