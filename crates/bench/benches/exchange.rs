@@ -56,7 +56,7 @@ fn bench_exchange(c: &mut Criterion) {
 fn bench_kernel_vs_reference(c: &mut Criterion) {
     // The headline of the O(1)-per-move rework: the incremental kernel vs
     // the from-scratch reference on the largest circuit, same seed, same
-    // trajectory (they are bit-identical under the proxy objective).
+    // trajectory (they are bit-identical).
     let mut group = c.benchmark_group("exchange_kernel");
     group.sample_size(10);
     let config = ExchangeConfig {

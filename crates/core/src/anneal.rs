@@ -1,9 +1,7 @@
 //! Simulated-annealing scaffolding (schedule + acceptance rule).
 
-use serde::{Deserialize, Serialize};
-
 /// Acceptance rule for uphill (worse) moves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Acceptance {
     /// Classic Metropolis: accept a worse move with probability
     /// `exp(−ΔC/T)` (i.e. when `rand < exp(−ΔC/T)`). The default.
@@ -48,7 +46,7 @@ impl Acceptance {
 
 /// Geometric cooling schedule (the paper's Fig. 14: start temperature,
 /// final temperature, `Cooling(Temperature)` per outer iteration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Schedule {
     /// Start temperature as a fraction of the initial cost (auto-scaled so
     /// the weights' magnitudes do not need hand-tuning).

@@ -2,13 +2,10 @@
 
 use std::fmt;
 
-use copack_power::GridSpec;
-use serde::{Deserialize, Serialize};
-
 use crate::{Acceptance, Schedule};
 
 /// Which congestion-driven assignment produces the initial order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignMethod {
     /// The random monotonic baseline (paper §4's comparison point).
     Random {
@@ -52,7 +49,7 @@ impl fmt::Display for AssignMethod {
 /// Cheng et al.'s margin maximization — see [`crate::margin_penalty`])
 /// is **off by default** (μ = 0): default-weight runs are bit-identical
 /// to pre-margin builds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// λ: weight of the IR-drop proxy.
     pub lambda: f64,
@@ -86,26 +83,8 @@ impl Default for CostWeights {
     }
 }
 
-/// How the exchange step's Δ_IR term is evaluated.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub enum IrObjective {
-    /// The paper's fast pad-spacing proxy
-    /// ([`copack_power::PadSpacingProxy`]). The default, and the only
-    /// practical choice for real schedules.
-    #[default]
-    Proxy,
-    /// Solve the full finite-difference model every move — what the paper
-    /// rejects as "very long"; kept for the A3 fidelity ablation. The
-    /// solved drop (in volts) replaces the proxy score in Eq. 3; rescale
-    /// λ accordingly.
-    FullSolve {
-        /// The grid to solve on (keep it small: every move pays a solve).
-        grid: GridSpec,
-    },
-}
-
 /// Configuration of the finger/pad exchange step (paper Fig. 14).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeConfig {
     /// Cost-function weights (Eq. 3).
     pub weights: CostWeights,
@@ -113,8 +92,6 @@ pub struct ExchangeConfig {
     pub schedule: Schedule,
     /// Uphill-move acceptance rule.
     pub acceptance: Acceptance,
-    /// How Δ_IR is computed.
-    pub ir_objective: IrObjective,
     /// RNG seed.
     pub seed: u64,
 }
@@ -125,7 +102,6 @@ impl Default for ExchangeConfig {
             weights: CostWeights::default(),
             schedule: Schedule::default(),
             acceptance: Acceptance::Metropolis,
-            ir_objective: IrObjective::Proxy,
             seed: 0xC0DE,
         }
     }

@@ -9,34 +9,26 @@
 //!   term in a prefix-cached [`crate::DeltaIrTracker`]. The best-seen
 //!   state is a **move journal** (accepted swaps + a prefix length)
 //!   rematerialised once at the end instead of a full clone per
-//!   improvement. The move loop is monomorphised over the Δ_IR objective,
-//!   so a proposal never dispatches on it, and with the `Proxy` objective
-//!   it allocates nothing.
+//!   improvement. The move loop is monomorphised over whether the Δ_IR
+//!   term is scored, so a proposal never dispatches on it, and it
+//!   allocates nothing.
 //! * [`exchange_reference`] — the original straight-line implementation
 //!   that re-derives ranges and rebuilds the pad-spacing proxy every move.
-//!   Kept as the executable specification: with the `Proxy` objective the
-//!   two produce **bit-identical** [`ExchangeResult`]s for any seed
+//!   Kept as the executable specification: the two produce
+//!   **bit-identical** [`ExchangeResult`]s for any seed and configuration
 //!   (equivalence is property- and integration-tested), and the benches
 //!   measure the kernel against it.
-//!
-//! With [`IrObjective::FullSolve`] the kernel additionally warm-starts
-//! each grid solve from the last *accepted* solution
-//! ([`copack_power::solve_sor_warm`]); the solve converges to the same
-//! tolerance but not bit-for-bit, so equivalence guarantees are restricted
-//! to the `Proxy` objective.
 
 use copack_geom::{Assignment, FingerIdx, NetId, NetKind, Quadrant, StackConfig};
 use copack_obs::{Event, NoopRecorder, Recorder};
-use copack_power::{GridSpec, PadRing, PadSpacingProxy};
+use copack_power::PadSpacingProxy;
 use copack_route::{check_monotonic, exchange_range, RangeCache};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::omega::check_tier;
 use crate::{
-    evaluate_ir, margin_penalty, omega_of_assignment, Acceptance, CancelToken, CoreError,
-    CostWeights, DeltaIrTracker, ExchangeConfig, IrObjective, MarginTracker, OmegaTracker,
-    SectionTracker,
+    margin_penalty, omega_of_assignment, Acceptance, CancelToken, CoreError, CostWeights,
+    DeltaIrTracker, ExchangeConfig, MarginTracker, OmegaTracker, SectionTracker,
 };
 
 /// How many proposals the kernel lets pass between cancellation polls
@@ -55,7 +47,7 @@ pub struct ExchangeResult {
 }
 
 /// Statistics of one annealing run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeStats {
     /// Cost of the initial order (Eq. 3).
     pub initial_cost: f64,
@@ -103,10 +95,10 @@ pub(crate) fn slot_tables(quadrant: &Quadrant, assignment: &Assignment) -> (Vec<
 
 /// The λ·Δ_IR term as the move loop sees it.
 ///
-/// [`ExchangeDriver::temp_step`] resolves the run's [`IrEval`] once per
-/// temperature step and runs the loop monomorphised over the matching
-/// implementation, so no proposal dispatches on the objective. Slots are
-/// 1-based, as in the journal.
+/// [`ExchangeDriver::temp_step`] checks once per temperature step whether
+/// the run scores Δ_IR and runs the loop monomorphised over the matching
+/// implementation, so no proposal dispatches on it. Slots are 1-based, as
+/// in the journal.
 trait IrTerm {
     /// Mirrors the swap of slots `left_slot` and `left_slot + 1`. Returns
     /// `true` iff the term can have changed; the loop re-reads it only
@@ -114,21 +106,8 @@ trait IrTerm {
     fn swap(&mut self, left_slot: u32) -> bool;
     /// Undoes `swap(left_slot)` for a rejected move.
     fn revert(&mut self, left_slot: u32);
-    /// The λ-weighted term of the current state (`pos1`: each net's
-    /// 1-based finger).
-    fn term(&mut self, lambda: f64, pos1: &[u32]) -> Result<f64, CoreError>;
-    /// The last state evaluated was accepted (`true`) or rejected.
-    fn settle(&mut self, _accepted: bool) {}
-}
-
-/// The Δ_IR objective of a run.
-enum IrEval {
-    /// λ = 0: the term never contributes.
-    Off,
-    /// The paper's pad-spacing proxy, tracked incrementally.
-    Proxy(DeltaIrTracker),
-    /// Full grid solves, warm-started from the last accepted solution.
-    Full(FullSolve),
+    /// The λ-weighted term of the current state.
+    fn term(&mut self, lambda: f64) -> f64;
 }
 
 /// The λ = 0 term: no swap changes it.
@@ -141,14 +120,14 @@ impl IrTerm for NoIr {
 
     fn revert(&mut self, _left_slot: u32) {}
 
-    fn term(&mut self, _lambda: f64, _pos1: &[u32]) -> Result<f64, CoreError> {
-        Ok(0.0)
+    fn term(&mut self, _lambda: f64) -> f64 {
+        0.0
     }
 }
 
-/// The proxy term. The tracker reports exactly whether a pad coordinate
-/// moved: two power pads or two non-power nets trading places leave the
-/// spacing untouched.
+/// The paper's pad-spacing proxy, tracked incrementally. The tracker
+/// reports exactly whether a pad coordinate moved: two power pads or two
+/// non-power nets trading places leave the spacing untouched.
 impl IrTerm for DeltaIrTracker {
     #[inline]
     fn swap(&mut self, left_slot: u32) -> bool {
@@ -161,60 +140,11 @@ impl IrTerm for DeltaIrTracker {
     }
 
     #[inline]
-    fn term(&mut self, lambda: f64, _pos1: &[u32]) -> Result<f64, CoreError> {
-        Ok(if self.power_pad_count() == 0 {
+    fn term(&mut self, lambda: f64) -> f64 {
+        if self.power_pad_count() == 0 {
             0.0
         } else {
             lambda * self.delta_ir()
-        })
-    }
-}
-
-/// Full grid solves, warm-started from the last *accepted* solution
-/// ([`copack_power::solve_sor_warm`]). Every swap counts as a change.
-struct FullSolve {
-    grid: GridSpec,
-    /// Dense indices of the power nets, in net-id order (the order the
-    /// naive path iterates them).
-    power_idx: Vec<usize>,
-    alpha: f64,
-    /// Voltages of the last *accepted* solve, the next warm start.
-    warm: Option<Vec<f64>>,
-    /// Voltages of the most recent solve, promoted to `warm` on accept.
-    pending: Option<Vec<f64>>,
-}
-
-impl IrTerm for FullSolve {
-    fn swap(&mut self, _left_slot: u32) -> bool {
-        true
-    }
-
-    fn revert(&mut self, _left_slot: u32) {}
-
-    fn term(&mut self, lambda: f64, pos1: &[u32]) -> Result<f64, CoreError> {
-        // Replicates `evaluate_ir`'s pad construction: each power pad
-        // appears once per package side.
-        let mut ts = Vec::with_capacity(self.power_idx.len() * 4);
-        for &i in &self.power_idx {
-            let frac = (f64::from(pos1[i]) - 0.5) / self.alpha;
-            for side in 0..4u32 {
-                ts.push((f64::from(side) + frac) / 4.0);
-            }
-        }
-        if ts.is_empty() {
-            return Ok(0.0);
-        }
-        let ring = PadRing::from_ts(ts)?;
-        let map = copack_power::solve_sor_warm(&self.grid, &ring, self.warm.as_deref())?;
-        let drop = map.max_drop();
-        self.pending = Some(map.voltages().to_vec());
-        Ok(lambda * drop)
-    }
-
-    fn settle(&mut self, accepted: bool) {
-        let solved = self.pending.take();
-        if accepted && solved.is_some() {
-            self.warm = solved;
         }
     }
 }
@@ -281,7 +211,7 @@ impl Omega {
 /// before it is returned.
 ///
 /// This is the incremental kernel (see the module docs); it matches
-/// [`exchange_reference`] bit for bit under the `Proxy` objective.
+/// [`exchange_reference`] bit for bit.
 ///
 /// # Errors
 ///
@@ -371,9 +301,9 @@ pub(crate) type FrozenRun = (Vec<(u32, u32)>, usize, ExchangeStats);
 /// touches no RNG or cost state, which is what makes sync-epoch prune
 /// decisions schedule-independent.
 ///
-/// The Δ_IR objective and the rest of the state live in separate fields
-/// so a step can borrow them apart: it matches [`IrEval`] once and hands
-/// the term to the [`Walk`]'s move loop.
+/// The Δ_IR tracker and the rest of the state live in separate fields
+/// so a step can borrow them apart: it checks for the tracker once and
+/// hands the term to the [`Walk`]'s move loop.
 pub(crate) struct ExchangeDriver<'a> {
     quadrant: &'a Quadrant,
     /// A private copy of the initial order, kept for the final
@@ -381,7 +311,8 @@ pub(crate) struct ExchangeDriver<'a> {
     initial: Assignment,
     cooling: f64,
     final_temp: f64,
-    ir: IrEval,
+    /// The Δ_IR tracker; `None` when λ = 0.
+    ir: Option<DeltaIrTracker>,
     walk: Walk,
 }
 
@@ -504,32 +435,11 @@ impl<'a> ExchangeDriver<'a> {
         // μ = 0 nothing is built or updated.
         let margin = (config.weights.margin > 0.0).then(|| MarginTracker::new(quadrant, initial));
         let mut ir = if config.weights.lambda > 0.0 {
-            match &config.ir_objective {
-                IrObjective::Proxy => IrEval::Proxy(DeltaIrTracker::new(quadrant, initial)?),
-                IrObjective::FullSolve { grid } => IrEval::Full(FullSolve {
-                    grid: grid.clone(),
-                    power_idx: quadrant
-                        .nets_of_kind(NetKind::Power)
-                        .map(|n| cache.index_of(n).expect("power net is in the quadrant"))
-                        .collect(),
-                    alpha: alpha as f64,
-                    warm: None,
-                    pending: None,
-                }),
-            }
+            Some(DeltaIrTracker::new(quadrant, initial)?)
         } else {
-            IrEval::Off
+            None
         };
-        let lambda = config.weights.lambda;
-        let ir_term = match &mut ir {
-            IrEval::Off => 0.0,
-            IrEval::Proxy(t) => t.term(lambda, &pos1)?,
-            IrEval::Full(f) => {
-                let term = f.term(lambda, &pos1)?;
-                f.settle(true); // the initial state is accepted by definition
-                term
-            }
-        };
+        let ir_term = ir.as_mut().map_or(0.0, |t| t.term(config.weights.lambda));
 
         // Telemetry flags, cached once: with a disabled recorder every
         // event site is a never-taken branch and the run stays
@@ -723,9 +633,8 @@ impl<'a> ExchangeDriver<'a> {
         let walk = &mut self.walk;
         let step_start = walk.stats;
         let ir_noop = match &mut self.ir {
-            IrEval::Off => walk.proposals(&mut NoIr, recorder, cancel),
-            IrEval::Proxy(tracker) => walk.proposals(tracker, recorder, cancel),
-            IrEval::Full(full) => walk.proposals(full, recorder, cancel),
+            None => walk.proposals(&mut NoIr, recorder, cancel),
+            Some(tracker) => walk.proposals(tracker, recorder, cancel),
         }?;
         if walk.rec_on {
             let stats = &walk.stats;
@@ -821,8 +730,7 @@ impl Walk {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Cancelled`] when `cancel` fires mid-step, or an error
-    /// of the full IR solve.
+    /// [`CoreError::Cancelled`] when `cancel` fires mid-step.
     fn proposals<I: IrTerm>(
         &mut self,
         ir: &mut I,
@@ -905,7 +813,7 @@ impl Walk {
 
             let ir_term_before = self.ir_term;
             if ir_changed {
-                self.ir_term = ir.term(self.weights.lambda, &self.pos1)?;
+                self.ir_term = ir.term(self.weights.lambda);
             }
             let new_cost = self.eval_cost();
             let delta = new_cost - self.current_cost;
@@ -919,7 +827,6 @@ impl Walk {
                     self.stats.uphill_accepted += 1;
                 }
                 self.current_cost = new_cost;
-                ir.settle(true);
                 // Only the moved nets' row-neighbours see stale ranges.
                 self.cache.note_moved(mover as usize, &self.pos1);
                 if occupied {
@@ -949,7 +856,6 @@ impl Walk {
                         delta,
                     });
                 }
-                ir.settle(false);
                 self.ir_term = ir_term_before;
                 self.slot_net.swap(pos as usize - 1, target as usize - 1); // revert
                 self.pos1[mover as usize] = pos;
@@ -1012,9 +918,8 @@ fn validate(
 /// Each move re-derives both exchange ranges, re-collects the power-pad
 /// coordinates and rebuilds the [`PadSpacingProxy`] — `O(β)`-ish work per
 /// proposal — and clones the whole assignment on every improvement. Use it
-/// to cross-check the kernel (they are bit-identical under
-/// [`IrObjective::Proxy`]) and as the baseline in the benches; use
-/// [`exchange`] everywhere else.
+/// to cross-check the kernel (they are bit-identical) and as the baseline
+/// in the benches; use [`exchange`] everywhere else.
 ///
 /// # Errors
 ///
@@ -1031,8 +936,8 @@ pub fn exchange_reference(
 /// [`exchange_reference`] with telemetry, emitting the same event
 /// vocabulary as [`exchange_traced`].
 ///
-/// Under the `Proxy` objective the two record **equal** event streams
-/// for any seed (the full-trajectory equivalence property): the
+/// The two record **equal** event streams for any seed (the
+/// full-trajectory equivalence property): the
 /// reference derives `ir_changed` from the swapped nets' kinds — exactly
 /// one of the two slots holds a power pad, an empty slot counting as
 /// non-power — which is the same predicate the kernel's
@@ -1070,24 +975,14 @@ pub fn exchange_reference_traced(
         let mut cost = 0.0;
         let mut ir_term = 0.0;
         if config.weights.lambda > 0.0 {
-            match &config.ir_objective {
-                IrObjective::Proxy => {
-                    let ts: Vec<f64> = quadrant
-                        .nets_of_kind(NetKind::Power)
-                        .filter_map(|n| a.position_of(n))
-                        .map(|f| (f.get() as f64 - 0.5) / alpha as f64)
-                        .collect();
-                    if !ts.is_empty() {
-                        ir_term = config.weights.lambda * PadSpacingProxy::new(&ts)?.delta_ir();
-                        cost += ir_term;
-                    }
-                }
-                IrObjective::FullSolve { grid } => {
-                    if let Some(drop) = evaluate_ir(quadrant, a, grid)? {
-                        ir_term = config.weights.lambda * drop;
-                        cost += ir_term;
-                    }
-                }
+            let ts: Vec<f64> = quadrant
+                .nets_of_kind(NetKind::Power)
+                .filter_map(|n| a.position_of(n))
+                .map(|f| (f.get() as f64 - 0.5) / alpha as f64)
+                .collect();
+            if !ts.is_empty() {
+                ir_term = config.weights.lambda * PadSpacingProxy::new(&ts)?.delta_ir();
+                cost += ir_term;
             }
         }
         if config.weights.rho > 0.0 {
@@ -1203,12 +1098,9 @@ pub fn exchange_reference_traced(
             }
             // Same predicate the kernel's tracker answers in O(1): the
             // Δ_IR term moves iff exactly one swapped slot holds a power
-            // pad (`FullSolve` is conservatively always "changed").
-            let ir_changed = config.weights.lambda > 0.0
-                && match &config.ir_objective {
-                    IrObjective::Proxy => slot_is_power(left_net) != slot_is_power(right_net),
-                    IrObjective::FullSolve { .. } => true,
-                };
+            // pad.
+            let ir_changed =
+                config.weights.lambda > 0.0 && slot_is_power(left_net) != slot_is_power(right_net);
             if rec_on && !ir_changed {
                 step_ir_noop += 1;
             }
@@ -1363,9 +1255,8 @@ mod tests {
 
     #[test]
     fn kernel_matches_reference_bit_for_bit() {
-        // The heart of the optimisation's correctness argument: with the
-        // Proxy objective, the incremental kernel and the from-scratch
-        // reference walk the same trajectory and return equal results —
+        // The heart of the optimisation's correctness argument: the
+        // incremental kernel and the from-scratch reference walk the same trajectory and return equal results —
         // assignment AND statistics — for planar and stacked runs alike.
         let planar = quadrant_2d();
         let stacked = quadrant_stacked();
@@ -1658,44 +1549,6 @@ mod tests {
         assert!(is_monotonic(&q, &r.assignment));
         assert!(r.assignment.validate_complete(&q).is_ok());
         assert!(r.stats.final_cost <= r.stats.initial_cost + 1e-9);
-    }
-
-    #[test]
-    fn full_solve_objective_runs_and_stays_legal() {
-        use crate::IrObjective;
-        use copack_power::GridSpec;
-        let q = quadrant_2d();
-        let initial = dfa(&q, 1).unwrap();
-        let mut cfg = fast_config(6);
-        cfg.schedule.final_temp_ratio = 0.5; // a handful of temperature steps
-        cfg.ir_objective = IrObjective::FullSolve {
-            grid: GridSpec::default_chip(8),
-        };
-        let r = exchange(&q, &initial, &StackConfig::planar(), &cfg).unwrap();
-        assert!(is_monotonic(&q, &r.assignment));
-        assert!(r.stats.final_cost <= r.stats.initial_cost + 1e-9);
-    }
-
-    #[test]
-    fn full_solve_warm_start_tracks_the_cold_reference_closely() {
-        // Warm-started solves converge to the same fixed point within the
-        // solver tolerance, so the kernel's FullSolve trajectory must land
-        // on the same assignment as the cold-start reference for a short
-        // schedule (identical up to ~1e-9 cost noise, far below any
-        // accept/reject threshold this schedule produces).
-        use crate::IrObjective;
-        use copack_power::GridSpec;
-        let q = quadrant_2d();
-        let initial = dfa(&q, 1).unwrap();
-        let mut cfg = fast_config(6);
-        cfg.schedule.final_temp_ratio = 0.5;
-        cfg.ir_objective = IrObjective::FullSolve {
-            grid: GridSpec::default_chip(8),
-        };
-        let warm = exchange(&q, &initial, &StackConfig::planar(), &cfg).unwrap();
-        let cold = exchange_reference(&q, &initial, &StackConfig::planar(), &cfg).unwrap();
-        assert_eq!(warm.assignment, cold.assignment);
-        assert!((warm.stats.final_cost - cold.stats.final_cost).abs() < 1e-6);
     }
 
     #[test]

@@ -80,7 +80,7 @@ mod warm;
 pub use anneal::{Acceptance, Schedule};
 pub use bondwire::{bondwire_lengths, total_bondwire};
 pub use cancel::CancelToken;
-pub use config::{AssignMethod, CostWeights, ExchangeConfig, IrObjective};
+pub use config::{AssignMethod, CostWeights, ExchangeConfig};
 pub use delta::{apply_delta, cancelling_delta, diff_quadrant, Edit, InstanceDelta, QuadrantDelta};
 pub use dfa::dfa;
 pub use error::CoreError;
@@ -107,4 +107,4 @@ pub use portfolio::{
 pub use random::random_assignment;
 pub use sections::{increased_density, SectionBaseline};
 pub use tracker::{DeltaIrTracker, OmegaTracker, SectionTracker};
-pub use warm::{exchange_warm, exchange_warm_from_journal, repair_assignment, warm_schedule};
+pub use warm::{exchange_warm, repair_assignment, warm_schedule};

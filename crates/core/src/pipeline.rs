@@ -7,7 +7,6 @@ use copack_power::{
     improvement_percent, solve_sor, solve_sor_warm_traced, GridSpec, IrMap, PadRing,
 };
 use copack_route::{analyze, DensityModel, RoutingReport};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     dfa, exchange_traced, ifa, omega_of_assignment, random_assignment, total_bondwire,
@@ -48,13 +47,11 @@ pub fn evaluate_ir(
 }
 
 /// [`evaluate_ir`] returning the whole voltage map, with an optional
-/// warm-start guess for the solver.
+/// warm-start guess for the solver ([`copack_power::solve_sor_warm`]).
 ///
-/// The annealer's `FullSolve` objective uses this to chain solves: each
-/// accepted move's solution seeds the next solve
-/// ([`copack_power::solve_sor_warm`]), which converges in a fraction of the
-/// sweeps when only one pad moved. Pass `None` for a cold solve — then the
-/// result is exactly [`solve_sor`]'s.
+/// Every caller passes `None`, a cold solve whose result is exactly
+/// [`solve_sor`]'s; the parameter goes when a direct solver replaces
+/// SOR.
 ///
 /// # Errors
 ///
@@ -119,7 +116,7 @@ fn replicated_ring(
 /// network's symmetric *bounce*, and the core's usable swing shrinks by
 /// both. The worst total is taken per node (the same gate sees its local
 /// drop and its local bounce).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupplyNoise {
     /// Worst Vdd-rail drop (V), from the power pads.
     pub vdd_drop: f64,
@@ -163,7 +160,7 @@ pub fn evaluate_supply_noise(
 }
 
 /// Configuration of the full two-step co-design flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Codesign {
     /// Step 1: the congestion-driven assignment method.
     pub method: AssignMethod,

@@ -172,9 +172,8 @@ const WARM_SCRATCH_CUTOFF: usize = 48;
 /// terms that scale the starting temperature (`λ·Δ_IR + μ·SM` — the ω
 /// part is excluded, exactly as the exchange driver excludes it, and
 /// the ID term is zero by definition against the run's own initial).
-/// Always uses the pad-spacing proxy for the IR term: this is a
-/// deterministic reheat heuristic, not the annealer's objective, and
-/// must stay cheap even under `IrObjective::FullSolve`.
+/// Uses the same pad-spacing proxy as the annealer's IR term, one O(n)
+/// evaluation per start.
 fn start_heat(
     quadrant: &Quadrant,
     start: &Assignment,
@@ -252,30 +251,6 @@ pub fn exchange_warm(
         }
     }
     exchange_cancellable(quadrant, &repaired, stack, &warm, recorder, cancel)
-}
-
-/// [`exchange_warm`] seeded from a frozen run's journal instead of a
-/// materialised plan: replays `journal[..best_len]` onto `initial`
-/// (the winning trajectory kept by the portfolio reduction) and warm
-/// starts from the replayed plan.
-///
-/// # Errors
-///
-/// As [`exchange_warm`]; [`CoreError::Geom`] if the journal does not
-/// replay onto `initial`.
-#[allow(clippy::too_many_arguments)] // the journal pair is inherent to the entry point
-pub fn exchange_warm_from_journal(
-    quadrant: &Quadrant,
-    initial: &Assignment,
-    journal: &[(u32, u32)],
-    best_len: usize,
-    stack: &StackConfig,
-    config: &ExchangeConfig,
-    recorder: &mut dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<ExchangeResult, CoreError> {
-    let previous = crate::replay_journal(initial, journal, best_len)?;
-    exchange_warm(quadrant, &previous, stack, config, recorder, cancel)
 }
 
 #[cfg(test)]
@@ -482,50 +457,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn journal_seeded_warm_start_matches_plan_seeded() {
-        let q = base();
-        let e = edited();
-        let cfg = fast_config(5);
-        let initial = dfa(&q, 1).unwrap();
-        let cold = exchange(&q, &initial, &StackConfig::planar(), &cfg).unwrap();
-        // Rebuild the journal by rerunning through the portfolio path.
-        let p = crate::exchange_portfolio(
-            &q,
-            &initial,
-            &StackConfig::planar(),
-            &cfg,
-            &crate::PortfolioConfig {
-                starts: 1,
-                ..crate::PortfolioConfig::default()
-            },
-        )
-        .unwrap();
-        let from_journal = exchange_warm_from_journal(
-            &e,
-            &initial,
-            &p.journal,
-            p.best_len,
-            &StackConfig::planar(),
-            &cfg,
-            &mut NoopRecorder,
-            &CancelToken::new(),
-        )
-        .unwrap();
-        let from_plan = exchange_warm(
-            &e,
-            &cold.assignment,
-            &StackConfig::planar(),
-            &cfg,
-            &mut NoopRecorder,
-            &CancelToken::new(),
-        )
-        .unwrap();
-        // K = 1 portfolio's winner IS the plain exchange result, so both
-        // seeds are the same assignment and the runs coincide exactly.
-        assert_eq!(from_journal, from_plan);
     }
 
     #[test]

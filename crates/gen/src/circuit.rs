@@ -3,13 +3,12 @@
 use copack_geom::{GeomError, NetKind, Package, Quadrant, QuadrantGeometry, StackConfig, TierId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::{row_sizes_with, NetMix, RowProfile};
 
 /// A synthetic test circuit: Table 1's published parameters plus the
 /// deterministic fill-ins described in the crate docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     /// Human-readable name (e.g. `"circuit 3"`).
     pub name: String,
@@ -26,7 +25,6 @@ pub struct Circuit {
     /// Ball rows per quadrant (§4 fixes this at 4).
     pub rows: usize,
     /// How the ball rows are sized (default: the step-2 triangle).
-    #[serde(default)]
     pub profile: RowProfile,
     /// Electrical mix of the pad ring.
     pub mix: NetMix,

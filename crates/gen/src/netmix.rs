@@ -1,7 +1,5 @@
 //! Electrical net-kind mixes.
 
-use serde::{Deserialize, Serialize};
-
 use copack_geom::NetKind;
 
 /// The fraction of supply nets in a generated circuit.
@@ -9,7 +7,7 @@ use copack_geom::NetKind;
 /// Industrial pad rings dedicate a substantial share of pads to power
 /// delivery; the default (15% power, 15% ground) is a typical wire-bond
 /// budget and can be overridden per circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetMix {
     /// Fraction of nets that are Vdd pads, in `[0, 1]`.
     pub power_fraction: f64,

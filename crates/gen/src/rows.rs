@@ -1,9 +1,7 @@
 //! Ball-row size partitioning.
 
-use serde::{Deserialize, Serialize};
-
 /// How ball rows are sized across a quadrant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RowProfile {
     /// +2 balls per row towards the package edge: the 45° diagonal cut of
     /// a uniform grid (the Table 1 circuits; the default).

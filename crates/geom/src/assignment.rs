@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FingerIdx, GeomError, NetId, Quadrant};
 
 /// Raw-id ceiling of the direct position table. Net ids below this (every
@@ -34,18 +32,15 @@ const UNPLACED: u32 = u32::MAX;
 /// assert_eq!(a.position_of(NetId::new(1)).unwrap().get(), 2);
 /// assert_eq!(a.order(), vec![NetId::new(3), NetId::new(1), NetId::new(2)]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Assignment {
     slots: Vec<Option<NetId>>,
     /// Raw id → 0-based slot ([`UNPLACED`] = absent), ids below
     /// [`DIRECT_POS_LIMIT`] only; grown on demand.
-    #[serde(skip)]
     pos: Vec<u32>,
     /// Positions of the rare nets with raw ids ≥ [`DIRECT_POS_LIMIT`].
-    #[serde(skip)]
     pos_overflow: BTreeMap<NetId, usize>,
     /// Number of occupied slots.
-    #[serde(skip)]
     placed: usize,
 }
 

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{NetId, RowIdx};
 
 /// Location of one bump ball inside a quadrant: the paper's `B_{γ,δ,ε}`
 /// (net name γ at column δ of row ε).
 ///
 /// Columns are 1-based from the left within their row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BallRef {
     /// Net connected to this ball.
     pub net: NetId,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a net (a finger–ball connection).
 ///
 /// Net ids are small integers chosen by the caller; they need not be dense.
@@ -17,8 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(n.raw(), 11);
 /// assert_eq!(n.to_string(), "N11");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(u32);
 
 impl NetId {
@@ -57,8 +54,7 @@ impl fmt::Display for NetId {
 /// assert_eq!(f.zero_based(), 4);
 /// assert_eq!(f.to_string(), "F5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FingerIdx(u32);
 
 impl FingerIdx {
@@ -102,8 +98,7 @@ impl fmt::Display for FingerIdx {
 /// Index of a bump-ball row within a quadrant, **1-based from the bottom**:
 /// row `1` is farthest from the die, row `n` (the "highest horizontal line"
 /// in the paper) is adjacent to the finger row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowIdx(u32);
 
 impl RowIdx {
@@ -141,7 +136,7 @@ impl fmt::Display for RowIdx {
 /// Fig. 2: the planning problem is solved independently per quadrant).
 ///
 /// The sides are named after the die edge the quadrant's fingers occupy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QuadrantSide {
     /// Fingers along the bottom die edge.
     Bottom,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{NetId, TierId};
 
 /// Electrical role of a net.
@@ -11,9 +9,7 @@ use crate::{NetId, TierId};
 /// The congestion-driven assignment treats every net alike; the exchange
 /// step of the paper moves only **power** pads in a 2-D design (its Fig. 14,
 /// line 7) because only they influence the core's IR-drop.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum NetKind {
     /// An ordinary signal net.
     #[default]
@@ -52,7 +48,7 @@ impl fmt::Display for NetKind {
 /// assert!(net.kind.is_supply());
 /// assert_eq!(net.tier, TierId::BASE);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Net {
     /// Identifier of the net.
     pub id: NetId,

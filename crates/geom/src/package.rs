@@ -1,8 +1,6 @@
 //! A full four-quadrant package and the die-perimeter mapping used by the
 //! IR-drop model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Assignment, FingerIdx, GeomError, NetId, NetKind, Quadrant, QuadrantSide};
 
 /// A finger slot located on the die perimeter.
@@ -12,7 +10,7 @@ use crate::{Assignment, FingerIdx, GeomError, NetId, NetKind, Quadrant, Quadrant
 /// the right edge `[0.25, 0.5)`, and so on. The paper's compact IR-drop
 /// model only cares about *where along the boundary* each power pad sits, so
 /// this normalised coordinate is the natural interface to `copack-power`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerimeterSlot {
     /// Which die edge the slot is on.
     pub side: QuadrantSide,
@@ -35,7 +33,7 @@ pub struct PerimeterSlot {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Package {
     quadrants: Vec<Quadrant>,
 }

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the package plane, in micrometres.
 ///
 /// ```
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Point::new(3.0, 4.0);
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate (µm), growing rightwards.
     pub x: f64,

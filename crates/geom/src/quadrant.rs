@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BallRef, FingerIdx, GeomError, Net, NetId, NetKind, Point, RowIdx, TierId};
 
 /// Physical parameters of a quadrant, in micrometres.
 ///
 /// The defaults follow the paper's experimental setup (§4): via diameter
 /// 0.1 µm, ball diameter 0.2 µm, and circuit-3-like pitches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadrantGeometry {
     /// Minimal spacing between two adjacent bump balls (Table 1's
     /// "bump ball space").
@@ -82,7 +80,7 @@ const NO_INDEX: u32 = u32::MAX;
 /// branch-predictable binary search over the sorted id list for
 /// pathologically sparse hand-written instances, so a stray huge id can
 /// never balloon memory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetIndex {
     /// Net ids in ascending order; position = dense index.
     ids: Vec<NetId>,
@@ -162,7 +160,7 @@ impl NetIndex {
 /// on a lookup path.
 ///
 /// Construct with [`Quadrant::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadrant {
     /// `rows[0]` is row `y = 1` (bottom).
     rows: Vec<Vec<NetId>>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::GeomError;
 
 /// Identifier of a stacking tier, 1-based: tier 1 is the base die, larger
@@ -12,8 +10,7 @@ use crate::GeomError;
 /// The paper's ψ parameter is the number of tiers; each tier `d ∈ 1..=ψ`
 /// gets a one-hot ψ-bit "unique parameter" `UP_d` used by the bonding-wire
 /// balance metric ω (see `copack_core`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(u8);
 
 impl TierId {
@@ -61,7 +58,7 @@ impl fmt::Display for TierId {
 /// lengths and to parameterise the exchange step.
 ///
 /// A 2-D design is a stack with a single tier; see [`StackConfig::planar`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StackConfig {
     /// Number of tiers ψ (≥ 1).
     pub tiers: u8,

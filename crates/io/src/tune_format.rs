@@ -139,8 +139,8 @@ pub struct ClassConfig {
 
 impl ClassConfig {
     /// Captures the tunable knobs of an exchange + portfolio config
-    /// pair (the rest — seed, acceptance rule, IR objective — are not
-    /// part of the trial space and stay with the caller).
+    /// pair (the rest — seed, acceptance rule — are not part of the
+    /// trial space and stay with the caller).
     #[must_use]
     pub fn from_configs(config: &ExchangeConfig, portfolio: &PortfolioConfig) -> Self {
         Self {
@@ -161,8 +161,8 @@ impl ClassConfig {
     }
 
     /// Writes the tuned knobs into `config` and `portfolio`, leaving
-    /// every untuned field (seed, acceptance, IR objective, sync
-    /// epochs, threads) untouched.
+    /// every untuned field (seed, acceptance, sync epochs, threads)
+    /// untouched.
     pub fn apply(&self, config: &mut ExchangeConfig, portfolio: &mut PortfolioConfig) {
         config.schedule.cooling = self.cooling;
         config.schedule.initial_temp_factor = self.initial_temp_factor;

@@ -332,11 +332,6 @@ pub enum Event {
     QuadrantWarmed {
         /// The quadrant's name.
         name: String,
-        /// `"journal"` (replayed from a portfolio winner's frozen move
-        /// journal) or `"plan"` (re-parsed from the materialised
-        /// previous plan). The two are byte-equivalent by the journal
-        /// replay contract; the source records which path served it.
-        source: String,
     },
     /// An invariant oracle (`copack-verify`) delivered a verdict.
     OracleChecked {
@@ -672,11 +667,9 @@ impl Event {
                 out.push_str(",\"tier\":");
                 json_str(out, tier);
             }
-            Self::QuadrantWarmed { name, source } => {
+            Self::QuadrantWarmed { name } => {
                 out.push_str(",\"name\":");
                 json_str(out, name);
-                out.push_str(",\"source\":");
-                json_str(out, source);
             }
             Self::OracleChecked {
                 oracle,
@@ -845,7 +838,6 @@ mod tests {
             },
             Event::QuadrantWarmed {
                 name: "north".to_owned(),
-                source: "journal".to_owned(),
             },
             Event::OracleChecked {
                 oracle: "density".to_owned(),

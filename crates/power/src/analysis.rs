@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     cg::solve_cg_nodes, solve_cg, solve_sor, sor::solve_sor_nodes, GridSpec, IrMap, PadPlan,
     PadRing, PowerError,
 };
 
 /// Which linear solver to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Solver {
     /// Successive over-relaxation (default).
     #[default]

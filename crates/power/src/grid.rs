@@ -1,13 +1,11 @@
 //! Power-grid specification: the discretised Eq. 1 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::PowerError;
 
 /// A circular region of elevated power density — the hotspot structure of
 /// real designs (the uniform-`J₀` assumption of Eq. 1 is the paper's
 /// simplification; the finite-difference substrate handles any `J(x,y)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hotspot {
     /// Centre x, as a fraction of the die width in `[0, 1]`.
     pub cx: f64,
@@ -26,7 +24,7 @@ pub struct Hotspot {
 /// `J₀·Δx·Δy`. On a uniform square mesh this reduces to a weighted
 /// 5-point Laplacian with edge conductances `1/R_sx` (horizontal) and
 /// `1/R_sy` (vertical) and a constant current sink per node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     /// Nodes per side in x.
     pub nx: usize,
@@ -43,7 +41,6 @@ pub struct GridSpec {
     /// Supply voltage clamped at the power pads (V).
     pub vdd: f64,
     /// Regions of elevated power density (empty = the paper's uniform J₀).
-    #[serde(default)]
     pub hotspots: Vec<Hotspot>,
 }
 

@@ -1,9 +1,7 @@
 //! IR-drop maps: the solved node voltages.
 
-use serde::{Deserialize, Serialize};
-
 /// Node voltages of a solved power grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IrMap {
     nx: usize,
     ny: usize,

@@ -1,7 +1,5 @@
 //! Power-pad rings on the die boundary.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GridSpec, PowerError};
 
 /// A set of power pads on the die boundary, each at a normalised perimeter
@@ -10,7 +8,7 @@ use crate::{GridSpec, PowerError};
 ///
 /// Pads are ideal voltage sources: the grid nodes under them are clamped to
 /// `Vdd` by the solvers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PadRing {
     ts: Vec<f64>,
 }

@@ -7,13 +7,11 @@
 //! the claim can be measured (see the `flipchip` example and the A4 study
 //! in `EXPERIMENTS.md`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GridSpec, PadRing, PowerError};
 
 /// A uniform flip-chip power-bump array: `nx × ny` pads spread over the
 /// die interior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PadArray {
     /// Pads per row.
     pub nx: usize,
@@ -67,7 +65,7 @@ impl PadArray {
 }
 
 /// Where the supply pads sit: the package style.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PadPlan {
     /// Wire-bond style: pads on the die boundary (the paper's setting).
     WireBond(PadRing),

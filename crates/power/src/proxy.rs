@@ -12,12 +12,10 @@
 //! validated against the full solver in this crate's tests and in the
 //! `ablation` experiment (A3 in `DESIGN.md`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::PowerError;
 
 /// Gap-uniformity score of a power-pad ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PadSpacingProxy {
     gaps: Vec<f64>,
     ideal: f64,

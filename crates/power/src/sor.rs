@@ -28,10 +28,9 @@ pub fn solve_sor(spec: &GridSpec, pads: &PadRing) -> Result<IrMap, PowerError> {
 
 /// [`solve_sor`] warm-started from a previous solution's voltages.
 ///
-/// When the pad ring changes only slightly between solves — the annealer's
-/// FullSolve objective moves one pad per accepted move — the previous
-/// fixed point is an excellent initial iterate and SOR converges in a
-/// fraction of the sweeps. The result satisfies the same `1e-12`
+/// When the pad ring changes only slightly between solves (one pad
+/// moved), the previous fixed point is an excellent initial iterate and
+/// SOR converges in a fraction of the sweeps. The result satisfies the same `1e-12`
 /// convergence tolerance as a cold solve but is **not** bit-identical to
 /// one (the iteration path differs).
 ///

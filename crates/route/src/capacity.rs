@@ -9,12 +9,11 @@
 //! at that pitch.
 
 use copack_geom::RowIdx;
-use serde::{Deserialize, Serialize};
 
 use crate::DensityMap;
 
 /// One over-capacity segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityViolation {
     /// The line's row.
     pub row: RowIdx,

@@ -9,13 +9,12 @@
 //! congestion for a whole package.
 
 use copack_geom::{Assignment, Package};
-use serde::{Deserialize, Serialize};
 
 use crate::{density_map, DensityMap, DensityModel, RouteError};
 
 /// Flank wire counts of one quadrant: wires crossing left of the first via
 /// site and right of the last, maximised over its horizontal lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlankLoad {
     /// Worst per-line count in the left flank region.
     pub left: u32,
@@ -38,7 +37,7 @@ impl FlankLoad {
 }
 
 /// Cut-line congestion of a full package.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutlineReport {
     /// Per-quadrant flank loads, in [`copack_geom::QuadrantSide::ALL`] order.
     pub flanks: [FlankLoad; 4],

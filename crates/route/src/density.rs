@@ -3,12 +3,11 @@
 use std::fmt;
 
 use copack_geom::{Assignment, Quadrant, RowIdx};
-use serde::{Deserialize, Serialize};
 
 use crate::{line_crossings, via_plan, RouteError};
 
 /// How crossing wires are attributed to segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DensityModel {
     /// Wires cross at their straight-flyline x (clamped into the
     /// planarity-forced span); segments are delimited by **all** via sites,
@@ -33,7 +32,7 @@ impl fmt::Display for DensityModel {
 }
 
 /// Per-line wire density.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowDensity {
     /// The ball row whose horizontal line this is.
     pub row: RowIdx,
@@ -72,7 +71,7 @@ impl RowDensity {
 }
 
 /// Wire-density map of a whole quadrant, lines ordered top-down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityMap {
     /// Per-line densities, highest line first.
     pub rows: Vec<RowDensity>,

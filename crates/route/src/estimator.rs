@@ -9,12 +9,11 @@
 //! that estimator; `copack-core` builds the ID metric (Eq. 2) on top of it.
 
 use copack_geom::{Assignment, NetId, Quadrant};
-use serde::{Deserialize, Serialize};
 
 use crate::RouteError;
 
 /// Result of the top-line congestion estimate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CongestionEstimate {
     /// Net count of each section `S_0 .. S_x` of the finger order, where
     /// the `x` top-row nets are the section delimiters (paper §3.2's

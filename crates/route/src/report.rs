@@ -3,12 +3,11 @@
 use std::fmt;
 
 use copack_geom::{Assignment, Quadrant};
-use serde::{Deserialize, Serialize};
 
 use crate::{check_monotonic, density_map, total_wirelength, DensityModel, FlankLoad, RouteError};
 
 /// Summary of a routed (analysed) assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingReport {
     /// The paper's "maximum density": worst segment wire count.
     pub max_density: u32,

@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 
 use copack_geom::{NetId, Point, Quadrant, RowIdx};
-use serde::{Deserialize, Serialize};
 
 use crate::RouteError;
 
@@ -13,7 +12,7 @@ use crate::RouteError;
 /// generality"; the bottom-right alternative is provided to test that
 /// claim (ablation A5 in `EXPERIMENTS.md`). Either choice keeps the
 /// monotonic-order rule intact (via order along a row equals ball order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViaRule {
     /// Via at the ball's bottom-left corner (the paper's rule).
     #[default]

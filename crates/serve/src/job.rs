@@ -13,11 +13,10 @@
 //! coalesce onto one entry.
 
 use copack_core::{
-    assign, exchange_cancellable, exchange_portfolio_cancellable, exchange_warm,
-    exchange_warm_from_journal, AssignMethod, CancelToken, CoreError, ExchangeConfig,
-    PortfolioConfig, PortfolioMode,
+    assign, exchange_cancellable, exchange_portfolio_cancellable, exchange_warm, AssignMethod,
+    CancelToken, CoreError, ExchangeConfig, PortfolioConfig, PortfolioMode,
 };
-use copack_geom::{Assignment, Quadrant, StackConfig};
+use copack_geom::{Quadrant, StackConfig};
 use copack_io::{
     canonical_portfolio_mode_params, canonical_portfolio_params, canonical_quadrant_text,
     classify_quadrant, fnv1a64, parse_assignment, write_assignment, TuneProfile,
@@ -261,40 +260,6 @@ pub fn cache_key_with(spec: &JobSpec, quadrant: &Quadrant, profile: Option<&Tune
     fnv1a64(material.as_bytes())
 }
 
-/// A portfolio winner's frozen move journal, kept by the daemon so a
-/// later replan against that winner can warm-start from the journal
-/// instead of re-parsing and repairing the materialised plan.
-///
-/// `replay_journal(initial, journal[..best_len])` reproduces the
-/// winner's assignment exactly (a core invariant), so seeding
-/// [`exchange_warm_from_journal`] with a record whose replay matches
-/// the job's `prev` text is equivalent to the parse-and-repair path —
-/// same result, same cache key, less work.
-#[derive(Debug, Clone)]
-pub struct JournalRecord {
-    /// The assignment the journal replays onto (the pre-exchange
-    /// initial order).
-    pub initial: Assignment,
-    /// The winning start's accepted-move journal.
-    pub journal: Vec<(u32, u32)>,
-    /// Journal prefix length that produced the winner's best cost.
-    pub best_len: usize,
-}
-
-/// [`execute_job_full`]'s result: the output plus executor telemetry
-/// the daemon uses (the CLI wrapper discards it).
-#[derive(Debug, Clone)]
-pub struct ExecReport {
-    /// The job's output, byte-identical to [`execute_job`]'s.
-    pub output: JobOutput,
-    /// The frozen journal of a portfolio winner (captured only for
-    /// multi-start cold plans), for the daemon's warm-start registry.
-    pub frozen: Option<JournalRecord>,
-    /// How a replan warm-started: `"journal"` (frozen-journal seed) or
-    /// `"plan"` (parsed previous plan). `None` for cold plans.
-    pub warm_source: Option<&'static str>,
-}
-
 /// Runs one job to completion (or cancellation), mirroring
 /// `copack plan`'s non-package flow line for line.
 ///
@@ -309,17 +274,11 @@ pub fn execute_job(
     quadrant: &Quadrant,
     cancel: &CancelToken,
 ) -> Result<JobOutput, ServeError> {
-    execute_job_full(spec, name, quadrant, cancel, None, None).map(|r| r.output)
+    execute_job_full(spec, name, quadrant, cancel, None)
 }
 
-/// [`execute_job`] with the daemon-only extensions: an optional loaded
-/// tuning profile (applied when the spec asks for it) and an optional
-/// frozen-journal warm-start hint for the replan path.
-///
-/// The produced [`JobOutput`] is byte-identical to [`execute_job`]'s
-/// for the same spec — the extensions only change *how* the result is
-/// reached (tuned config, journal seed), never what a given cache key
-/// maps to.
+/// [`execute_job`] with the daemon-only extension: an optional loaded
+/// tuning profile, applied when the spec asks for it.
 ///
 /// # Errors
 ///
@@ -330,8 +289,7 @@ pub fn execute_job_full(
     quadrant: &Quadrant,
     cancel: &CancelToken,
     profile: Option<&TuneProfile>,
-    hint: Option<&JournalRecord>,
-) -> Result<ExecReport, ServeError> {
+) -> Result<JobOutput, ServeError> {
     let job_failed =
         |e: &dyn std::fmt::Display| ServeError::new(ErrorKind::JobFailed, e.to_string());
 
@@ -340,8 +298,6 @@ pub fn execute_job_full(
     let routing =
         analyze(quadrant, &assignment, DensityModel::Geometric).map_err(|e| job_failed(&e))?;
     let _ = writeln!(report, "{name}: {} -> {routing}", spec.method);
-    let mut frozen = None;
-    let mut warm_source = None;
 
     if spec.exchange {
         if cancel.is_cancelled() {
@@ -397,42 +353,22 @@ pub fn execute_job_full(
             // (repair, reheat, shortened schedule — or bit-identical
             // from-scratch below the core's size cutoff). The warm
             // path is single-start by construction, so it takes
-            // precedence over the portfolio width. When the daemon
-            // still holds the frozen journal of the portfolio run that
-            // produced `prev`, replaying it is equivalent to parsing
-            // the plan text (the replay invariant) and skips the
-            // parse-and-repair round trip.
-            if let Some(h) = hint {
-                warm_source = Some("journal");
-                exchange_warm_from_journal(
-                    quadrant,
-                    &h.initial,
-                    &h.journal,
-                    h.best_len,
-                    &stack,
-                    &config,
-                    &mut NoopRecorder,
-                    cancel,
+            // precedence over the portfolio width.
+            let (_, previous) = parse_assignment(prev_text).map_err(|e| {
+                ServeError::new(
+                    ErrorKind::BadRequest,
+                    format!("previous assignment does not parse: {e}"),
                 )
-                .map_err(on_core_error)?
-            } else {
-                warm_source = Some("plan");
-                let (_, previous) = parse_assignment(prev_text).map_err(|e| {
-                    ServeError::new(
-                        ErrorKind::BadRequest,
-                        format!("previous assignment does not parse: {e}"),
-                    )
-                })?;
-                exchange_warm(
-                    quadrant,
-                    &previous,
-                    &stack,
-                    &config,
-                    &mut NoopRecorder,
-                    cancel,
-                )
-                .map_err(on_core_error)?
-            }
+            })?;
+            exchange_warm(
+                quadrant,
+                &previous,
+                &stack,
+                &config,
+                &mut NoopRecorder,
+                cancel,
+            )
+            .map_err(on_core_error)?
         } else if portfolio.starts > 1 {
             let won = exchange_portfolio_cancellable(
                 quadrant,
@@ -452,11 +388,6 @@ pub fn execute_job_full(
                 won.winner_seed,
                 won.pruned()
             );
-            frozen = Some(JournalRecord {
-                initial: assignment.clone(),
-                journal: won.journal.clone(),
-                best_len: won.best_len,
-            });
             won.result
         } else {
             exchange_cancellable(
@@ -485,14 +416,10 @@ pub fn execute_job_full(
     }
 
     let _ = writeln!(report, "order: {assignment}");
-    Ok(ExecReport {
-        output: JobOutput {
-            name: name.to_owned(),
-            report,
-            assignment: write_assignment(name, &assignment),
-        },
-        frozen,
-        warm_source,
+    Ok(JobOutput {
+        name: name.to_owned(),
+        report,
+        assignment: write_assignment(name, &assignment),
     })
 }
 
@@ -828,14 +755,9 @@ mod tests {
                 ..ClassConfig::default_config()
             },
         );
-        let run = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&profile), None)
+        let run = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&profile))
             .expect("tuned plan");
-        assert!(
-            run.output.report.contains("portfolio K=2"),
-            "{}",
-            run.output.report
-        );
-        assert!(run.frozen.is_some(), "portfolio runs freeze their journal");
+        assert!(run.report.contains("portfolio K=2"), "{}", run.report);
         // An unknown class falls back to the built-in default class
         // config (which carries the default K=4 portfolio): same bytes
         // as a profile-less job submitted with those knobs spelled out.
@@ -844,7 +766,7 @@ mod tests {
             space_fingerprint: 1,
             classes: Vec::new(),
         };
-        let fallback = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&empty), None)
+        let fallback = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&empty))
             .expect("fallback plan");
         let plain_spec = JobSpec {
             profile: false,
@@ -852,43 +774,7 @@ mod tests {
             ..spec.clone()
         };
         let plain = execute_job(&plain_spec, &name, &q, &CancelToken::new()).expect("plain plan");
-        assert_eq!(fallback.output, plain);
-    }
-
-    #[test]
-    fn a_journal_hint_replan_matches_the_parse_path_bit_for_bit() {
-        let text =
-            "quadrant demo\nrow 10 2 4 7 0\nrow 1 3 5 8\nrow 11 6 9\nnet 10 power\nnet 5 power\n";
-        let (name, q) = parse_quadrant(text).expect("valid circuit");
-        let cold_spec = JobSpec {
-            exchange: true,
-            starts: 4,
-            ..JobSpec::new("")
-        };
-        let cold = execute_job_full(&cold_spec, &name, &q, &CancelToken::new(), None, None)
-            .expect("cold portfolio");
-        let record = cold.frozen.expect("portfolio freezes its journal");
-        assert!(cold.warm_source.is_none());
-        let warm_spec = JobSpec {
-            prev: Some(cold.output.assignment.clone()),
-            ..cold_spec
-        };
-        let parsed = execute_job_full(&warm_spec, &name, &q, &CancelToken::new(), None, None)
-            .expect("parse-path replan");
-        let seeded = execute_job_full(
-            &warm_spec,
-            &name,
-            &q,
-            &CancelToken::new(),
-            None,
-            Some(&record),
-        )
-        .expect("journal-path replan");
-        assert_eq!(parsed.warm_source, Some("plan"));
-        assert_eq!(seeded.warm_source, Some("journal"));
-        // The journal seed is an implementation detail: the served
-        // bytes are identical either way.
-        assert_eq!(parsed.output, seeded.output);
+        assert_eq!(fallback, plain);
     }
 
     #[test]

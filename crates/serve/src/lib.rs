@@ -65,8 +65,7 @@ pub use cache::{CacheConfig, CacheStats, Lookup, ResultCache, Waiter};
 pub use client::{BatchOutcome, Client};
 pub use error::{ErrorKind, ServeError};
 pub use job::{
-    cache_key, cache_key_with, execute_job, execute_job_full, ExecReport, JobClass, JobOutput,
-    JobSpec, JournalRecord,
+    cache_key, cache_key_with, execute_job, execute_job_full, JobClass, JobOutput, JobSpec,
 };
 pub use metrics::{pool_metrics_text, PoolMetrics};
 pub use protocol::{

@@ -33,7 +33,7 @@
 
 use copack_core::CancelToken;
 use copack_geom::Quadrant;
-use copack_io::{canonical_quadrant_text, fnv1a64, parse_quadrant, TuneProfile};
+use copack_io::{parse_quadrant, TuneProfile};
 use copack_obs::{Event, Recorder as _, TraceBuffer};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{CacheConfig, CacheStats, Lookup, ResultCache};
 use crate::error::{ErrorKind, ServeError};
-use crate::job::{cache_key_with, execute_job_full, JobClass, JobOutput, JobSpec, JournalRecord};
+use crate::job::{cache_key_with, execute_job_full, JobClass, JobOutput, JobSpec};
 use crate::protocol::{Response, StatusSnapshot};
 use crate::reactor::{CompletionQueue, Reactor};
 
@@ -153,47 +153,6 @@ impl PoolState {
     }
 }
 
-/// How many frozen portfolio journals the daemon retains for
-/// journal-seeded replans. Oldest-first eviction: the registry is a
-/// warm-start accelerator, never a correctness dependency (a miss just
-/// falls back to the parse-and-repair path).
-const JOURNAL_CAPACITY: usize = 64;
-
-/// Bounded FIFO registry of frozen portfolio-winner journals, keyed by
-/// the FNV-1a hash of the canonical circuit text plus the winner's
-/// assignment-file bytes — exactly what a replan resubmits as
-/// `(circuit, prev)`, so a hit guarantees the journal replays onto the
-/// same instance to the same plan the parse path would start from.
-#[derive(Default)]
-struct JournalRegistry {
-    entries: VecDeque<(u64, JournalRecord)>,
-}
-
-impl JournalRegistry {
-    fn remember(&mut self, key: u64, record: JournalRecord) {
-        self.entries.retain(|(k, _)| *k != key);
-        if self.entries.len() >= JOURNAL_CAPACITY {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((key, record));
-    }
-
-    fn lookup(&self, key: u64) -> Option<JournalRecord> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, r)| r.clone())
-    }
-}
-
-/// Registry key for a `(quadrant, assignment text)` pair.
-fn journal_key(quadrant: &Quadrant, assignment_text: &str) -> u64 {
-    let mut material = canonical_quadrant_text(quadrant);
-    material.push('\u{0}');
-    material.push_str(assignment_text);
-    fnv1a64(material.as_bytes())
-}
-
 #[derive(Default)]
 struct Counters {
     submitted: AtomicU64,
@@ -236,7 +195,6 @@ pub(crate) struct Inner {
     counters: Counters,
     events: Mutex<TraceBuffer>,
     profile: Option<TuneProfile>,
-    journals: Mutex<JournalRegistry>,
 }
 
 impl Inner {
@@ -473,38 +431,18 @@ impl Inner {
                 Some(deadline) => CancelToken::with_deadline(deadline),
                 None => CancelToken::new(),
             };
-            // A replan against a plan whose frozen journal is still
-            // registered warm-starts from the journal; otherwise (and
-            // for every cold job) the hint is `None`.
-            let hint = job.spec.prev.as_deref().and_then(|prev| {
-                self.journals
-                    .lock()
-                    .expect("journal registry poisoned")
-                    .lookup(journal_key(&job.quadrant, prev))
-            });
             let result = execute_job_full(
                 &job.spec,
                 &job.name,
                 &job.quadrant,
                 &cancel,
                 self.profile.as_ref(),
-                hint.as_ref(),
-            )
-            .map(|run| {
-                if let Some(source) = run.warm_source {
-                    self.record_event(&Event::QuadrantWarmed {
-                        name: job.name.clone(),
-                        source: source.to_owned(),
-                    });
-                }
-                if let Some(frozen) = run.frozen {
-                    self.journals
-                        .lock()
-                        .expect("journal registry poisoned")
-                        .remember(journal_key(&job.quadrant, &run.output.assignment), frozen);
-                }
-                run.output
-            });
+            );
+            if result.is_ok() && job.spec.exchange && job.spec.prev.is_some() {
+                self.record_event(&Event::QuadrantWarmed {
+                    name: job.name.clone(),
+                });
+            }
             match &result {
                 Ok(_) => {
                     self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -567,7 +505,6 @@ impl Server {
             counters: Counters::default(),
             events: Mutex::new(TraceBuffer::new()),
             profile: config.profile,
-            journals: Mutex::new(JournalRegistry::default()),
         });
         Ok(Self { listener, inner })
     }

@@ -39,9 +39,8 @@ impl VerifyConfig {
         }
     }
 
-    /// The exchange configuration the oracles run under (always the
-    /// `Proxy` IR objective — the only mode with a bit-identical
-    /// reference implementation).
+    /// The exchange configuration the oracles run under: the instance's
+    /// seed and the oracle schedule, every other knob at its default.
     #[must_use]
     pub fn exchange_config(&self) -> ExchangeConfig {
         ExchangeConfig {

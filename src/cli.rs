@@ -91,8 +91,9 @@ USAGE:
       --profile loads a `copack tune` profile and plans the exchange
       under the tuned configuration for the circuit's instance class
       (unknown classes fall back to the defaults); explicitly-given
-      flags (--starts, --prune-margin, --margin-weight, --xseed) still
-      win over the profile.
+      flags (--starts, --prune-margin, --portfolio-mode, --kick-size,
+      --ladder-ratio, --margin-weight, --xseed) still win over the
+      profile.
 
   copack replan <circuit-file> --prev ASSIGNMENT --delta EDITS
                 [--psi N] [--xseed N] [--margin-weight F]
@@ -140,7 +141,7 @@ USAGE:
       it on every family member, so a profile can never regress a
       family instance. The emitted profile is byte-identical for every
       --threads value and across reruns. --quick sweeps a 4-point
-      space (CI smoke); the default space has 16 points.
+      space (CI smoke); the default space has 20 points.
 
   copack fuzz [--budget-secs N] [--cases N] [--seed S] [--corpus DIR]
               [--trace FILE] [--metrics]
@@ -171,10 +172,6 @@ USAGE:
       (the profile fingerprint and class key join the cache key, so
       tuned and untuned results never collide); without a loaded
       profile such jobs are refused with a typed bad-request error.
-      The daemon also keeps the frozen move journals of recent
-      portfolio winners, so a replan against one warm-starts from the
-      journal instead of re-parsing the previous plan (same bytes,
-      less work; the trace records `quadrant_warmed` with its source).
 
   copack submit <circuit-file> [--addr HOST:PORT] [--method dfa|ifa|random]
                 [--seed N] [--slack N] [--exchange] [--psi N] [--xseed N]
@@ -406,29 +403,133 @@ fn load_assignment(path: &str) -> Result<copack_geom::Assignment, String> {
         .1)
 }
 
-/// Parses `--margin-weight`, the weight of the net-separation margin
-/// term in the exchange cost. Zero — the default — leaves the term off,
-/// so every pre-existing invocation is unchanged.
-fn margin_weight(opts: &Options) -> Result<f64, String> {
-    let weight: f64 = opts.num("margin-weight", 0.0)?;
-    if weight.is_nan() || weight < 0.0 {
+/// Builds the exchange configuration shared by `plan`, `replan` and
+/// `submit`: defaults plus the `--xseed` seed and the `--margin-weight`
+/// net-separation term (zero, the default, leaves the term off).
+fn exchange_config(opts: &Options) -> Result<ExchangeConfig, String> {
+    let margin: f64 = opts.num("margin-weight", 0.0)?;
+    if margin.is_nan() || margin < 0.0 {
         return Err("--margin-weight expects a non-negative number".to_owned());
     }
-    Ok(weight)
-}
-
-/// Builds the exchange configuration shared by `plan` and `replan`:
-/// defaults plus the `--xseed` seed and `--margin-weight` cost term.
-fn exchange_config(opts: &Options) -> Result<ExchangeConfig, String> {
-    let weights = CostWeights {
-        margin: margin_weight(opts)?,
-        ..CostWeights::default()
-    };
     Ok(ExchangeConfig {
         seed: opts.num("xseed", ExchangeConfig::default().seed)?,
-        weights,
+        weights: CostWeights {
+            margin,
+            ..CostWeights::default()
+        },
         ..ExchangeConfig::default()
     })
+}
+
+/// Parses `--psi` (default 1, planar) into the stack configuration every
+/// planning verb uses.
+fn stack_config(opts: &Options) -> Result<StackConfig, String> {
+    let psi = opts.num("psi", 1u8)?;
+    match psi {
+        0 => Err("--psi expects at least 1 tier".to_owned()),
+        1 => Ok(StackConfig::planar()),
+        _ => StackConfig::stacked(psi).map_err(|e| e.to_string()),
+    }
+}
+
+/// The planning flags `plan`, `submit` and `batch` share, parsed and
+/// validated in one place so that every verb rejects a bad value with
+/// the same message.
+struct PlanningFlags {
+    /// `--method`, `--seed` (random) and `--slack` (dfa).
+    method: AssignMethod,
+    /// `--psi`.
+    stack: StackConfig,
+    /// `--xseed` and `--margin-weight`.
+    exchange: ExchangeConfig,
+    /// `--starts`, `--prune-margin`, `--portfolio-mode`, `--kick-size`
+    /// and `--ladder-ratio`; the worker threads stay at their default.
+    portfolio: PortfolioConfig,
+}
+
+impl PlanningFlags {
+    fn parse(opts: &Options) -> Result<Self, String> {
+        let seed = opts.num("seed", 42u64)?;
+        let slack = opts.num("slack", 1u32)?;
+        let method = match opts.value("method").unwrap_or("dfa") {
+            "dfa" => AssignMethod::Dfa { slack },
+            "ifa" => AssignMethod::Ifa,
+            "random" => AssignMethod::Random { seed },
+            other => return Err(format!("unknown method `{other}` (dfa|ifa|random)")),
+        };
+        // The portfolio checks mirror `PortfolioConfig::is_valid`, so a
+        // bad flag fails here with a readable message, not a core error.
+        let starts = opts.num("starts", 1u32)?;
+        if starts == 0 {
+            return Err("--starts expects at least 1 start".to_owned());
+        }
+        let prune_margin: f64 =
+            opts.num("prune-margin", PortfolioConfig::default().prune_margin)?;
+        if prune_margin.is_nan() || prune_margin < 0.0 {
+            return Err("--prune-margin expects a non-negative number".to_owned());
+        }
+        let mode = match opts.value("portfolio-mode") {
+            None => PortfolioMode::Race,
+            Some(tag) => PortfolioMode::parse(tag)
+                .ok_or_else(|| format!("unknown portfolio mode `{tag}` (race|coop|temper)"))?,
+        };
+        let kick_size = opts.num("kick-size", PortfolioConfig::default().kick_size)?;
+        if kick_size == 0 {
+            return Err("--kick-size expects at least 1 swap".to_owned());
+        }
+        let ladder_ratio: f64 =
+            opts.num("ladder-ratio", PortfolioConfig::default().ladder_ratio)?;
+        if !ladder_ratio.is_finite() || ladder_ratio < 1.0 {
+            return Err("--ladder-ratio expects a finite ratio >= 1.0".to_owned());
+        }
+        Ok(Self {
+            method,
+            stack: stack_config(opts)?,
+            exchange: exchange_config(opts)?,
+            portfolio: PortfolioConfig {
+                starts,
+                prune_margin,
+                mode,
+                kick_size,
+                ladder_ratio,
+                ..PortfolioConfig::default()
+            },
+        })
+    }
+}
+
+/// Applies a tuned profile's configuration for `quadrant` over the
+/// flags' `config` and `portfolio`: it replaces the schedule, weights and
+/// portfolio shape (never the seed or the worker threads), and every flag
+/// given explicitly still wins over it.
+fn apply_profile(
+    profile: &TuneProfile,
+    quadrant: &copack_geom::Quadrant,
+    opts: &Options,
+    config: &mut ExchangeConfig,
+    portfolio: &mut PortfolioConfig,
+) {
+    let (flag_margin, flags) = (config.weights.margin, portfolio.clone());
+    profile.config_for(quadrant).apply(config, portfolio);
+    let given = |name: &str| opts.value(name).is_some();
+    if given("starts") {
+        portfolio.starts = flags.starts;
+    }
+    if given("prune-margin") {
+        portfolio.prune_margin = flags.prune_margin;
+    }
+    if given("portfolio-mode") {
+        portfolio.mode = flags.mode;
+    }
+    if given("kick-size") {
+        portfolio.kick_size = flags.kick_size;
+    }
+    if given("ladder-ratio") {
+        portfolio.ladder_ratio = flags.ladder_ratio;
+    }
+    if given("margin-weight") {
+        config.weights.margin = flag_margin;
+    }
 }
 
 /// Loads `--profile` (a `copack tune` output file), or `None` when the
@@ -507,30 +608,18 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
     let (name, quadrant) = load_quadrant(path)?;
     let mut telemetry = Telemetry::from_options(&opts)?;
 
-    let seed = opts.num("seed", 42u64)?;
-    let slack = opts.num("slack", 1u32)?;
-    let method = match opts.value("method").unwrap_or("dfa") {
-        "dfa" => AssignMethod::Dfa { slack },
-        "ifa" => AssignMethod::Ifa,
-        "random" => AssignMethod::Random { seed },
-        other => return Err(format!("unknown method `{other}` (dfa|ifa|random)")),
-    };
+    let flags = PlanningFlags::parse(&opts)?;
+    let method = flags.method;
     let profile = load_profile(&opts)?;
     if profile.is_some() && (opts.flag("exchange").is_none() || opts.flag("package").is_some()) {
         return Err("--profile tunes the exchange pass: it requires --exchange and does not apply to --package".to_owned());
     }
 
     if opts.flag("package").is_some() {
-        let psi = opts.num("psi", 1u8)?;
-        let stack = if psi <= 1 {
-            StackConfig::planar()
-        } else {
-            StackConfig::stacked(psi).map_err(|e| e.to_string())?
-        };
         let threads = opts.num("threads", 0usize)?;
         let config = Codesign {
             method,
-            stack,
+            stack: flags.stack,
             threads,
             ..Codesign::default()
         };
@@ -580,52 +669,14 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
     let _ = writeln!(out, "{name}: {method} -> {report}");
 
     if opts.flag("exchange").is_some() {
-        let psi = opts.num("psi", 1u8)?;
-        let stack = if psi <= 1 {
-            StackConfig::planar()
-        } else {
-            StackConfig::stacked(psi).map_err(|e| e.to_string())?
-        };
-        let starts = opts.num("starts", 1u32)?;
-        if starts == 0 {
-            return Err("--starts expects at least 1 start".to_owned());
-        }
-        let mut xconfig = exchange_config(&opts)?;
-        let (mode, kick_size, ladder_ratio) = portfolio_mode_options(&opts)?;
+        let stack = flags.stack;
+        let mut xconfig = flags.exchange;
         let mut portfolio = PortfolioConfig {
-            starts,
-            prune_margin: opts.num("prune-margin", PortfolioConfig::default().prune_margin)?,
             threads: opts.num("threads", 0usize)?,
-            mode,
-            kick_size,
-            ladder_ratio,
-            ..PortfolioConfig::default()
+            ..flags.portfolio
         };
         if let Some(p) = &profile {
-            // The tuned class config replaces schedule, weights, and
-            // portfolio shape; the seed and worker threads stay the
-            // flags' (`apply` never touches them), and explicitly-given
-            // flags still win over the profile.
-            p.config_for(&quadrant).apply(&mut xconfig, &mut portfolio);
-            if opts.value("starts").is_some() {
-                portfolio.starts = starts;
-            }
-            if opts.value("prune-margin").is_some() {
-                portfolio.prune_margin =
-                    opts.num("prune-margin", PortfolioConfig::default().prune_margin)?;
-            }
-            if opts.value("portfolio-mode").is_some() {
-                portfolio.mode = mode;
-            }
-            if opts.value("kick-size").is_some() {
-                portfolio.kick_size = kick_size;
-            }
-            if opts.value("ladder-ratio").is_some() {
-                portfolio.ladder_ratio = ladder_ratio;
-            }
-            if opts.value("margin-weight").is_some() {
-                xconfig.weights.margin = margin_weight(&opts)?;
-            }
+            apply_profile(p, &quadrant, &opts, &mut xconfig, &mut portfolio);
             let _ = writeln!(
                 out,
                 "{name}: tuned profile applied (class {})",
@@ -763,21 +814,18 @@ fn cmd_replan(args: &[String]) -> Result<String, String> {
         .get(&name)
         .expect("a dirty instance lists this quadrant");
     let edited = apply_delta(&base, quadrant_delta).map_err(|e| format!("{delta_path}: {e}"))?;
-    let psi = opts.num("psi", 1u8)?;
-    let stack = if psi <= 1 {
-        StackConfig::planar()
-    } else {
-        StackConfig::stacked(psi).map_err(|e| e.to_string())?
-    };
+    let stack = stack_config(&opts)?;
     let mut config = exchange_config(&opts)?;
     if let Some(p) = &profile {
         // The warm path is single-start, so only the tuned schedule and
-        // weights matter; explicit flags still win, as in plan.
-        let mut portfolio = PortfolioConfig::default();
-        p.config_for(&edited).apply(&mut config, &mut portfolio);
-        if opts.value("margin-weight").is_some() {
-            config.weights.margin = margin_weight(&opts)?;
-        }
+        // weights matter.
+        apply_profile(
+            p,
+            &edited,
+            &opts,
+            &mut config,
+            &mut PortfolioConfig::default(),
+        );
         let _ = writeln!(
             out,
             "{name}: tuned profile applied (class {})",
@@ -1014,7 +1062,7 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
 
 fn cmd_tune(args: &[String]) -> Result<String, String> {
     let opts = parse_options(args)?;
-    let psi = opts.num("psi", 1u8)?;
+    let stack = stack_config(&opts)?;
     let mut instances: Vec<(String, copack_geom::Quadrant, StackConfig)> = Vec::new();
     if opts.positional.is_empty() {
         // The built-in tuning family: Table 1 plus stacked and deep-row
@@ -1026,11 +1074,6 @@ fn cmd_tune(args: &[String]) -> Result<String, String> {
             instances.push((c.name.replace(' ', ""), quadrant, stack));
         }
     } else {
-        let stack = if psi <= 1 {
-            StackConfig::planar()
-        } else {
-            StackConfig::stacked(psi).map_err(|e| e.to_string())?
-        };
         for path in &opts.positional {
             let (name, quadrant) = load_quadrant(path)?;
             instances.push((name, quadrant, stack));
@@ -1074,44 +1117,11 @@ fn cmd_tune(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parses the cooperative-portfolio flags shared by `plan` and
-/// `submit`/`batch`: `--portfolio-mode` (default `race`), `--kick-size`
-/// (default 4, `coop` only) and `--ladder-ratio` (default 1.5, `temper`
-/// only). Validation mirrors [`PortfolioConfig::is_valid`] so a bad
-/// flag fails at the CLI boundary with a readable message instead of a
-/// core error.
-fn portfolio_mode_options(opts: &Options) -> Result<(PortfolioMode, u32, f64), String> {
-    let mode = match opts.value("portfolio-mode") {
-        None => PortfolioMode::Race,
-        Some(tag) => PortfolioMode::parse(tag)
-            .ok_or_else(|| format!("unknown portfolio mode `{tag}` (race|coop|temper)"))?,
-    };
-    let kick_size = opts.num("kick-size", PortfolioConfig::default().kick_size)?;
-    if kick_size == 0 {
-        return Err("--kick-size expects at least 1 swap".to_owned());
-    }
-    let ladder_ratio: f64 = opts.num("ladder-ratio", PortfolioConfig::default().ladder_ratio)?;
-    if !ladder_ratio.is_finite() || ladder_ratio < 1.0 {
-        return Err("--ladder-ratio expects a finite ratio >= 1.0".to_owned());
-    }
-    Ok((mode, kick_size, ladder_ratio))
-}
-
-/// Builds a daemon job spec from `submit`/`batch`'s planning flags (the
-/// same vocabulary as `copack plan`).
-fn job_spec_from_options(opts: &Options, circuit: String) -> Result<JobSpec, String> {
-    let seed = opts.num("seed", 42u64)?;
-    let slack = opts.num("slack", 1u32)?;
-    let method = match opts.value("method").unwrap_or("dfa") {
-        "dfa" => AssignMethod::Dfa { slack },
-        "ifa" => AssignMethod::Ifa,
-        "random" => AssignMethod::Random { seed },
-        other => return Err(format!("unknown method `{other}` (dfa|ifa|random)")),
-    };
-    let psi = opts.num("psi", 1u8)?;
-    if psi == 0 {
-        return Err("--psi expects at least 1 tier".to_owned());
-    }
+/// Builds a daemon job spec, without its circuit, from `submit`/`batch`'s
+/// flags: the planning flags `plan` reads plus `--prev`, `--use-profile`,
+/// `--timeout-ms` and `--class`.
+fn job_spec_from_options(opts: &Options) -> Result<JobSpec, String> {
+    let flags = PlanningFlags::parse(opts)?;
     let timeout_ms = match opts.value("timeout-ms") {
         None => None,
         Some(v) => Some(
@@ -1119,32 +1129,23 @@ fn job_spec_from_options(opts: &Options, circuit: String) -> Result<JobSpec, Str
                 .map_err(|_| format!("--timeout-ms expects a number, got `{v}`"))?,
         ),
     };
-    let starts = opts.num("starts", 1u32)?;
-    if starts == 0 {
-        return Err("--starts expects at least 1 start".to_owned());
-    }
-    let prune_margin: f64 = opts.num("prune-margin", PortfolioConfig::default().prune_margin)?;
-    if prune_margin.is_nan() || prune_margin < 0.0 {
-        return Err("--prune-margin expects a non-negative number".to_owned());
-    }
-    let (mode, kick_size, ladder_ratio) = portfolio_mode_options(opts)?;
     let prev = match opts.value("prev") {
         None => None,
         Some(p) => Some(fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?),
     };
     Ok(JobSpec {
-        circuit,
-        method,
+        circuit: String::new(),
+        method: flags.method,
         exchange: opts.flag("exchange").is_some(),
-        psi,
-        exchange_seed: opts.num("xseed", ExchangeConfig::default().seed)?,
-        starts,
-        prune_margin_bits: prune_margin.to_bits(),
-        mode,
-        kick_size,
-        ladder_ratio_bits: ladder_ratio.to_bits(),
+        psi: flags.stack.tiers,
+        exchange_seed: flags.exchange.seed,
+        starts: flags.portfolio.starts,
+        prune_margin_bits: flags.portfolio.prune_margin.to_bits(),
+        mode: flags.portfolio.mode,
+        kick_size: flags.portfolio.kick_size,
+        ladder_ratio_bits: flags.portfolio.ladder_ratio.to_bits(),
         prev,
-        margin_bits: margin_weight(opts)?.to_bits(),
+        margin_bits: flags.exchange.weights.margin.to_bits(),
         profile: opts.flag("use-profile").is_some(),
         timeout_ms,
         class: job_class_from_options(opts)?,
@@ -1243,7 +1244,10 @@ fn cmd_submit(args: &[String]) -> Result<String, String> {
         return Err(format!("submit expects one circuit file\n\n{USAGE}"));
     };
     let circuit = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let spec = job_spec_from_options(&opts, circuit)?;
+    let spec = JobSpec {
+        circuit,
+        ..job_spec_from_options(&opts)?
+    };
     let (_, mut client) = connect_daemon(&opts)?;
     let plan = client.plan(&spec).map_err(|e| format!("{path}: {e}"))?;
 
@@ -1274,7 +1278,8 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
     // frames back in completion order (tagged with each job's
     // submission index) and closes with a summary frame. --stream
     // prints a live line per arriving item before the final table.
-    let class = job_class_from_options(&opts)?;
+    let template = job_spec_from_options(&opts)?;
+    let class = template.class;
     let stream = opts.flag("stream").is_some();
     let mut rows: Vec<(String, Result<PlanResponse, String>)> = files
         .iter()
@@ -1284,15 +1289,15 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
     let mut submitted: Vec<usize> = Vec::new();
     for (index, file) in files.iter().enumerate() {
         let path = Path::new(dir).join(file);
-        match fs::read_to_string(&path)
-            .map_err(|e| format!("{}: {e}", path.display()))
-            .and_then(|text| job_spec_from_options(&opts, text))
-        {
-            Ok(spec) => {
-                specs.push(spec);
+        match fs::read_to_string(&path) {
+            Ok(circuit) => {
+                specs.push(JobSpec {
+                    circuit,
+                    ..template.clone()
+                });
                 submitted.push(index);
             }
-            Err(message) => rows[index].1 = Err(message),
+            Err(e) => rows[index].1 = Err(format!("{}: {e}", path.display())),
         }
     }
     if !specs.is_empty() {
@@ -1405,6 +1410,49 @@ mod tests {
         assert!(run(&s(&["--help"])).unwrap().contains("USAGE"));
         assert!(run(&[]).unwrap().contains("USAGE"));
         assert!(run(&s(&["frob"])).unwrap_err().contains("unknown command"));
+    }
+
+    #[test]
+    fn usage_names_the_tune_space_sizes() {
+        let quick = TrialSpace::quick().len();
+        let standard = TrialSpace::standard().len();
+        assert!(
+            USAGE.contains(&format!("--quick sweeps a {quick}-point")),
+            "{USAGE}"
+        );
+        assert!(
+            USAGE.contains(&format!("the default space has {standard} points")),
+            "{USAGE}"
+        );
+    }
+
+    #[test]
+    fn every_verb_rejects_a_bad_planning_flag_alike() {
+        let dir = TestDir::new("bad_flags");
+        let circuit = dir.path("c1.copack");
+        fs::write(&circuit, run(&s(&["gen", "1"])).unwrap()).unwrap();
+        let circuit = circuit.to_str().unwrap();
+        let jobs = dir.0.to_str().unwrap();
+        for (bad, message) in [
+            (
+                ["--prune-margin", "-1"],
+                "--prune-margin expects a non-negative number",
+            ),
+            (
+                ["--prune-margin", "NaN"],
+                "--prune-margin expects a non-negative number",
+            ),
+            (["--psi", "0"], "--psi expects at least 1 tier"),
+        ] {
+            let planning = ["--exchange", "--starts", "4", bad[0], bad[1]];
+            let plan = run(&s(&[&["plan", circuit][..], &planning].concat())).unwrap_err();
+            assert_eq!(plan, message, "{bad:?}");
+            // Nothing listens on port 1: the flags fail before a connection.
+            for verb in [["submit", circuit], ["batch", jobs]] {
+                let args = [&verb[..], &planning, &["--addr", "127.0.0.1:1"]].concat();
+                assert_eq!(run(&s(&args)).unwrap_err(), plan, "{verb:?} {bad:?}");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! exchange kernel: on the Fig. 5 instance, all five Table 1 circuits
 //! (ψ = 1 and ψ = 4), reduced large-family instances (ψ ∈ {1, 2, 4, 8}),
 //! a large-1k preset side, and sparse quadrants (more fingers than nets),
-//! with the margin weight μ off and on, under the default `Proxy`
-//! objective, [`exchange`] and [`exchange_reference`] must return
+//! with the margin weight μ off and on, [`exchange`] and
+//! [`exchange_reference`] must return
 //! **bit-identical** [`copack::core::ExchangeResult`]s from identical
 //! seeds — and, with the telemetry layer, identical **trajectories**: the
 //! recorded event streams match move for move, not just at the end state.

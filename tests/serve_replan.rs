@@ -93,13 +93,12 @@ fn a_replan_reuses_untouched_quadrants_and_recomputes_the_dirty_one() {
 }
 
 #[test]
-fn a_replan_against_a_portfolio_winner_warm_starts_from_its_frozen_journal() {
-    let scratch = Scratch::new("replan_journal");
+fn a_replan_of_a_portfolio_winner_answers_alike_on_its_planner_and_a_fresh_daemon() {
+    let scratch = Scratch::new("replan_winner");
     let trace_a = scratch.path("a.jsonl");
     let trace_b = scratch.path("b.jsonl");
 
-    // Daemon A plans circuit 2 as a K=4 portfolio, which freezes the
-    // winner's move journal in the daemon's registry.
+    // Daemon A plans circuit 2 as a K=4 portfolio.
     let mut portfolio = exchange_spec(circuit_text(2));
     portfolio.starts = 4;
     let daemon_a = Daemon::spawn(
@@ -112,40 +111,39 @@ fn a_replan_against_a_portfolio_winner_warm_starts_from_its_frozen_journal() {
     assert!(won.report.contains("portfolio K=4"), "{}", won.report);
 
     // A warm refinement of the same quadrant against that winner: the
-    // prev hash changes the cache key, so the worker runs — and finds
-    // the frozen journal instead of re-parsing the plan text.
+    // prev hash changes the cache key, so the worker runs and
+    // warm-starts from the parsed plan text.
     let mut refine = portfolio.clone();
     refine.prev = Some(won.assignment.clone());
-    let from_journal = client.plan(&refine).expect("journal replan");
-    assert_eq!(from_journal.cache, "miss");
+    let on_a = client.plan(&refine).expect("replan on daemon A");
+    assert_eq!(on_a.cache, "miss");
     drop(client);
     let stdout_a = daemon_a.shutdown();
     assert!(stdout_a.contains("wrote "), "{stdout_a}");
     let text_a = std::fs::read_to_string(&trace_a).expect("trace a");
     assert!(
-        text_a.contains(r#""ev":"quadrant_warmed","name":"circuit2","source":"journal""#),
-        "daemon A warms from the journal: {text_a}"
+        text_a.contains(r#""ev":"quadrant_warmed","name":"circuit2""#),
+        "daemon A warm-starts the replan: {text_a}"
     );
 
-    // A fresh daemon has no journal registry: the identical request
-    // falls back to parsing the previous plan — and must land on the
-    // same bytes, the equivalence the journal-replay contract promises.
+    // A fresh daemon that never planned the winner must land on the
+    // same bytes.
     let daemon_b = Daemon::spawn(
         &scratch,
         "b",
         &["--workers", "1", "--trace", trace_b.to_str().unwrap()],
     );
     let mut client = daemon_b.client();
-    let from_plan = client.plan(&refine).expect("parse replan");
-    assert_eq!(from_plan.cache, "miss");
-    assert_eq!(from_plan.assignment, from_journal.assignment);
-    assert_eq!(from_plan.report, from_journal.report);
+    let on_b = client.plan(&refine).expect("replan on daemon B");
+    assert_eq!(on_b.cache, "miss");
+    assert_eq!(on_b.assignment, on_a.assignment);
+    assert_eq!(on_b.report, on_a.report);
     drop(client);
     daemon_b.shutdown();
     let text_b = std::fs::read_to_string(&trace_b).expect("trace b");
     assert!(
-        text_b.contains(r#""ev":"quadrant_warmed","name":"circuit2","source":"plan""#),
-        "daemon B re-parses the plan: {text_b}"
+        text_b.contains(r#""ev":"quadrant_warmed","name":"circuit2""#),
+        "daemon B warm-starts the replan: {text_b}"
     );
 }
 
