@@ -1,12 +1,12 @@
-//! Criterion benchmarks of the IR-drop substrate: SOR vs CG across grid
-//! sizes, and the Δ_IR proxy the exchange loop calls thousands of times
-//! (its whole reason to exist is being orders of magnitude cheaper than a
-//! solve).
+//! Criterion benchmarks of the IR-drop substrate: the multigrid-
+//! preconditioned CG against plain CG across grid sizes, and the Δ_IR
+//! proxy the exchange loop calls thousands of times (its whole reason to
+//! exist is being orders of magnitude cheaper than a solve).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use copack_power::{solve_cg, solve_sor, GridSpec, PadRing, PadSpacingProxy};
+use copack_power::{solve_cg, solve_mg, GridSpec, PadRing, PadSpacingProxy};
 
 fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("power_solve");
@@ -14,8 +14,8 @@ fn bench_solvers(c: &mut Criterion) {
     for n in [16usize, 32, 48] {
         let spec = GridSpec::default_chip(n);
         let ring = PadRing::uniform(12);
-        group.bench_with_input(BenchmarkId::new("sor", n), &(&spec, &ring), |b, (s, r)| {
-            b.iter(|| solve_sor(black_box(s), black_box(r)).expect("solves"));
+        group.bench_with_input(BenchmarkId::new("mg", n), &(&spec, &ring), |b, (s, r)| {
+            b.iter(|| solve_mg(black_box(s), black_box(r)).expect("solves"));
         });
         group.bench_with_input(BenchmarkId::new("cg", n), &(&spec, &ring), |b, (s, r)| {
             b.iter(|| solve_cg(black_box(s), black_box(r)).expect("solves"));

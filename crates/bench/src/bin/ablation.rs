@@ -34,9 +34,7 @@ use copack_core::{
 };
 use copack_gen::{circuit, circuits};
 use copack_geom::{Assignment, FingerIdx, NetId, NetKind, Package, Quadrant};
-use copack_power::{
-    solve_plan, solve_sor, GridSpec, PadArray, PadPlan, PadRing, PadSpacingProxy, Solver,
-};
+use copack_power::{solve_mg, solve_plan, GridSpec, PadArray, PadPlan, PadRing, PadSpacingProxy};
 use copack_route::{
     analyze, balanced_density_map, cutline_congestion, density_map, density_map_with_plan,
     exchange_range, via_plan_with, DensityModel, ViaRule,
@@ -151,7 +149,7 @@ fn proxy_vs_solver() {
         let pads = 12;
         let ts: Vec<f64> = (0..pads).map(|_| rng.gen::<f64>()).collect();
         let proxy = PadSpacingProxy::new(&ts).expect("proxy").delta_ir();
-        let drop = solve_sor(&grid, &PadRing::from_ts(ts).expect("ring"))
+        let drop = solve_mg(&grid, &PadRing::from_ts(ts).expect("ring"))
             .expect("solves")
             .max_drop();
         samples.push((proxy, drop));
@@ -319,16 +317,10 @@ fn flipchip_vs_wirebond() {
     let mut table = TextTable::new(["pads", "wire-bond (mV)", "flip-chip (mV)", "ratio"]);
     for side in [2usize, 4, 8] {
         let pads = side * side;
-        let wb = solve_plan(
-            &grid,
-            &PadPlan::WireBond(PadRing::uniform(pads)),
-            Solver::Sor,
-        )
-        .expect("solves");
+        let wb = solve_plan(&grid, &PadPlan::WireBond(PadRing::uniform(pads))).expect("solves");
         let fc = solve_plan(
             &grid,
             &PadPlan::FlipChip(PadArray::new(side, side).expect("array")),
-            Solver::Sor,
         )
         .expect("solves");
         assert!(fc.max_drop() < wb.max_drop(), "flip-chip must win");

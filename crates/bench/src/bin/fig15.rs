@@ -1,6 +1,7 @@
 //! Regenerates the paper's **Fig. 15**: routing plots of circuit 2 under
 //! the random, IFA and DFA assignments. Writes three SVGs to
-//! `target/fig15_{random,ifa,dfa}.svg` and prints the per-plot metrics
+//! `target/fig15_{random,ifa,dfa}.svg` under the working directory
+//! (created if it is missing) and prints the per-plot metrics
 //! (DFA should look the straightest and score the lowest density, as in
 //! the paper).
 //!
@@ -24,6 +25,7 @@ fn main() {
         ("dfa", AssignMethod::dfa_default()),
     ];
 
+    fs::create_dir_all("target").expect("target directory created");
     println!("Fig. 15: routing plots of {} (one quadrant)", c.name);
     let mut densities = Vec::new();
     for (name, method) in cases {
@@ -51,6 +53,6 @@ fn main() {
     let package = Package::uniform(q);
     let sides = [dfa.clone(), dfa.clone(), dfa.clone(), dfa];
     let svg = package_svg(&package, &sides).expect("renders");
-    std::fs::write("target/fig15_package.svg", svg).expect("svg written");
+    fs::write("target/fig15_package.svg", svg).expect("svg written");
     println!("Whole-package view -> target/fig15_package.svg");
 }

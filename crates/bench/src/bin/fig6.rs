@@ -15,7 +15,8 @@
 //! uniform-load model cannot, since the uniform ring is near-optimal
 //! there; see EXPERIMENTS.md).
 //!
-//! The SVG heat maps land in `target/fig6_*.svg`.
+//! The SVG heat maps land in `target/fig6_*.svg` under the working
+//! directory, which is created if it is missing.
 //!
 //! Run with `cargo run --release -p copack-bench --bin fig6`.
 
@@ -23,7 +24,7 @@ use std::fs;
 
 use copack_core::Codesign;
 use copack_gen::{Circuit, NetMix};
-use copack_power::{solve_sor, GridSpec, Hotspot, IrMap, PadRing};
+use copack_power::{solve_mg, GridSpec, Hotspot, IrMap, PadRing};
 use copack_viz::irmap_svg;
 use rand::{Rng, SeedableRng};
 
@@ -71,6 +72,7 @@ fn main() {
 
     let pads = quadrant.nets_of_kind(copack_geom::NetKind::Power).count() * 4;
 
+    fs::create_dir_all("target").expect("target directory created");
     for (label, g, paper) in [
         ("uniform load", &grid, Some((117.4, 77.3, 55.2))),
         ("hotspot load", &hotspot_grid, None),
@@ -82,7 +84,7 @@ fn main() {
         for seed in 0..20u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let ts: Vec<f64> = (0..pads).map(|_| rng.gen::<f64>()).collect();
-            let map = solve_sor(g, &PadRing::from_ts(ts).expect("ring")).expect("solves");
+            let map = solve_mg(g, &PadRing::from_ts(ts).expect("ring")).expect("solves");
             let better = match &worst {
                 Some(w) => map.max_drop() > w.max_drop(),
                 None => true,
@@ -94,7 +96,7 @@ fn main() {
         let random = worst.expect("twenty plans solved");
 
         // (B) Regular pad plan.
-        let regular = solve_sor(g, &PadRing::uniform(pads)).expect("solves");
+        let regular = solve_mg(g, &PadRing::uniform(pads)).expect("solves");
 
         // (C) Our co-design flow: DFA + exchange.
         let report = Codesign {
@@ -114,7 +116,7 @@ fn main() {
                 })
                 .collect()
         };
-        let ours = solve_sor(g, &PadRing::from_ts(ours_ts).expect("ring")).expect("solves");
+        let ours = solve_mg(g, &PadRing::from_ts(ours_ts).expect("ring")).expect("solves");
 
         let scale = random.max_drop() * 1000.0;
         let suffix = if label.starts_with("hotspot") {

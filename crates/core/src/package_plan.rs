@@ -9,7 +9,7 @@
 
 use copack_geom::{Assignment, NetKind, Package, Quadrant, QuadrantSide};
 use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
-use copack_power::{solve_sor_warm_traced, GridSpec, PadRing};
+use copack_power::{solve_mg_traced, GridSpec, PadRing};
 use copack_route::{analyze, CutlineReport, RoutingReport};
 
 use crate::{assign, exchange_traced, Codesign, CoreError, ExchangeResult};
@@ -57,7 +57,7 @@ pub fn evaluate_package_ir(
 }
 
 /// [`evaluate_package_ir`] with telemetry: the grid solve streams its
-/// per-sweep residuals into `recorder`.
+/// per-iteration residuals into `recorder`.
 ///
 /// # Errors
 ///
@@ -73,9 +73,7 @@ pub fn evaluate_package_ir_traced(
         return Ok(None);
     }
     let ring = PadRing::from_ts(pads.iter().map(|(_, slot)| slot.t))?;
-    Ok(Some(
-        solve_sor_warm_traced(grid, &ring, None, recorder)?.max_drop(),
-    ))
+    Ok(Some(solve_mg_traced(grid, &ring, recorder)?.max_drop()))
 }
 
 /// Anneals and analyses one side; the unit of work the package planner

@@ -3,9 +3,7 @@
 
 use copack_geom::{Assignment, NetKind, Quadrant, StackConfig};
 use copack_obs::{Event, NoopRecorder, Recorder};
-use copack_power::{
-    improvement_percent, solve_sor, solve_sor_warm_traced, GridSpec, IrMap, PadRing,
-};
+use copack_power::{improvement_percent, solve_mg, solve_mg_traced, GridSpec, IrMap, PadRing};
 use copack_route::{analyze, DensityModel, RoutingReport};
 
 use crate::{
@@ -43,15 +41,10 @@ pub fn evaluate_ir(
     assignment: &Assignment,
     grid: &GridSpec,
 ) -> Result<Option<f64>, CoreError> {
-    Ok(evaluate_ir_map(quadrant, assignment, grid, None)?.map(|map| map.max_drop()))
+    Ok(evaluate_ir_map(quadrant, assignment, grid)?.map(|map| map.max_drop()))
 }
 
-/// [`evaluate_ir`] returning the whole voltage map, with an optional
-/// warm-start guess for the solver ([`copack_power::solve_sor_warm`]).
-///
-/// Every caller passes `None`, a cold solve whose result is exactly
-/// [`solve_sor`]'s; the parameter goes when a direct solver replaces
-/// SOR.
+/// [`evaluate_ir`] returning the whole voltage map.
 ///
 /// # Errors
 ///
@@ -60,14 +53,15 @@ pub fn evaluate_ir_map(
     quadrant: &Quadrant,
     assignment: &Assignment,
     grid: &GridSpec,
-    warm: Option<&[f64]>,
 ) -> Result<Option<IrMap>, CoreError> {
-    evaluate_ir_map_traced(quadrant, assignment, grid, warm, &mut NoopRecorder)
+    evaluate_ir_map_traced(quadrant, assignment, grid, None, &mut NoopRecorder)
 }
 
-/// [`evaluate_ir_map`] with telemetry: the SOR solve streams per-sweep
-/// residuals into `recorder` (see
-/// [`copack_power::solve_sor_warm_traced`]).
+/// [`evaluate_ir_map`] with telemetry: the solve streams its per-iteration
+/// residuals into `recorder` (see [`copack_power::solve_mg_traced`]).
+///
+/// `_warm` is ignored: the solver takes no starting guess. The parameter
+/// stays only so existing callers keep compiling.
 ///
 /// # Errors
 ///
@@ -76,13 +70,13 @@ pub fn evaluate_ir_map_traced(
     quadrant: &Quadrant,
     assignment: &Assignment,
     grid: &GridSpec,
-    warm: Option<&[f64]>,
+    _warm: Option<&[f64]>,
     recorder: &mut dyn Recorder,
 ) -> Result<Option<IrMap>, CoreError> {
     let Some(ring) = replicated_ring(quadrant, assignment, NetKind::Power)? else {
         return Ok(None);
     };
-    Ok(Some(solve_sor_warm_traced(grid, &ring, warm, recorder)?))
+    Ok(Some(solve_mg_traced(grid, &ring, recorder)?))
 }
 
 /// The die's pad ring for the nets of `kind`: each net's finger position
@@ -144,8 +138,8 @@ pub fn evaluate_supply_noise(
     let (Some(power), Some(ground)) = (ring_of(NetKind::Power)?, ring_of(NetKind::Ground)?) else {
         return Ok(None);
     };
-    let vdd_map = solve_sor(grid, &power)?;
-    let gnd_map = solve_sor(grid, &ground)?;
+    let vdd_map = solve_mg(grid, &power)?;
+    let gnd_map = solve_mg(grid, &ground)?;
     let mut worst_total: f64 = 0.0;
     for j in 0..grid.ny {
         for i in 0..grid.nx {

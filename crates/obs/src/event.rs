@@ -11,8 +11,9 @@ use std::fmt::Write as _;
 /// Which grid solver emitted a solver event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
-    /// Successive over-relaxation (the `copack_power::solve_sor` family).
-    Sor,
+    /// Multigrid-preconditioned conjugate gradient (the
+    /// `copack_power::solve_mg` family, every production IR solve).
+    Mg,
     /// Conjugate gradient (the `copack_power::solve_cg` family).
     Cg,
 }
@@ -22,7 +23,7 @@ impl Solver {
     #[must_use]
     pub const fn as_str(self) -> &'static str {
         match self {
-            Self::Sor => "sor",
+            Self::Mg => "mg",
             Self::Cg => "cg",
         }
     }
@@ -36,7 +37,7 @@ impl Solver {
 ///   — one simulated-annealing exchange run (paper Fig. 14). Rejected
 ///   moves are high-volume and only recorded when the sink opts in via
 ///   [`crate::Recorder::wants_rejected`].
-/// * `SolverSweep` / `SolverDone` — per-sweep residuals of the SOR/CG
+/// * `SolverSweep` / `SolverDone` — per-iteration residuals of the MG/CG
 ///   power-grid solvers.
 /// * `DensityEvaluated` / `RoutingEvaluated` — route-layer congestion
 ///   evaluations.
@@ -131,10 +132,9 @@ pub enum Event {
     SolverSweep {
         /// Which solver.
         solver: Solver,
-        /// Sweep (SOR) or iteration (CG) index, 0-based.
+        /// Iteration index, 0-based.
         sweep: u32,
-        /// Convergence measure after the sweep: largest voltage update
-        /// (SOR) or relative residual norm (CG).
+        /// Relative residual norm `‖r‖₂/‖b‖₂` after the iteration.
         residual: f64,
     },
     /// A solve finished.
@@ -747,7 +747,7 @@ mod tests {
                 temperature_steps: 1,
             },
             Event::SolverSweep {
-                solver: Solver::Sor,
+                solver: Solver::Mg,
                 sweep: 0,
                 residual: 1e-3,
             },
@@ -867,7 +867,7 @@ mod tests {
         };
         assert_eq!(note.to_json(), r#"{"ev":"note","text":"a\"b\\c\nd"}"#);
         let e = Event::SolverSweep {
-            solver: Solver::Sor,
+            solver: Solver::Mg,
             sweep: 1,
             residual: f64::NAN,
         };
@@ -893,7 +893,7 @@ mod tests {
 
     #[test]
     fn solver_names_are_stable() {
-        assert_eq!(Solver::Sor.as_str(), "sor");
+        assert_eq!(Solver::Mg.as_str(), "mg");
         assert_eq!(Solver::Cg.as_str(), "cg");
     }
 }

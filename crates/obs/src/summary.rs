@@ -184,10 +184,10 @@ pub struct TraceSummary {
     /// Sum of the runs' final costs (bit-deterministic because each
     /// run's cost is summed in run order).
     pub final_cost_sum: f64,
-    /// SOR solves completed.
-    pub sor_solves: u64,
-    /// Total SOR sweeps.
-    pub sor_sweeps: u64,
+    /// Multigrid-preconditioned CG solves completed.
+    pub mg_solves: u64,
+    /// Total multigrid-preconditioned CG iterations.
+    pub mg_iters: u64,
     /// CG solves completed.
     pub cg_solves: u64,
     /// Total CG iterations.
@@ -225,9 +225,9 @@ impl TraceSummary {
                     ir_noop_applied, ..
                 } => s.ir_noop_applied += ir_noop_applied,
                 Event::SolverDone { solver, sweeps, .. } => match solver {
-                    Solver::Sor => {
-                        s.sor_solves += 1;
-                        s.sor_sweeps += u64::from(*sweeps);
+                    Solver::Mg => {
+                        s.mg_solves += 1;
+                        s.mg_iters += u64::from(*sweeps);
                     }
                     Solver::Cg => {
                         s.cg_solves += 1;
@@ -277,11 +277,11 @@ impl TraceSummary {
             self.ir_noop_applied,
             self.final_cost_sum
         );
-        if self.sor_solves + self.cg_solves > 0 {
+        if self.mg_solves + self.cg_solves > 0 {
             let _ = writeln!(
                 out,
-                "sor {} solves / {} sweeps  cg {} solves / {} iters",
-                self.sor_solves, self.sor_sweeps, self.cg_solves, self.cg_iters
+                "mg {} solves / {} iters  cg {} solves / {} iters",
+                self.mg_solves, self.mg_iters, self.cg_solves, self.cg_iters
             );
         }
         if self.sides > 0 {
@@ -421,14 +421,14 @@ mod tests {
         assert_eq!(sig.len(), 2);
         assert_eq!(sig[0], (0, 1, (-2.0f64).to_bits(), 8.0f64.to_bits()));
         assert_eq!(acceptance_curve(&events), vec![0.5]);
-        assert!(residual_curve(&events, Solver::Sor).is_empty());
+        assert!(residual_curve(&events, Solver::Mg).is_empty());
     }
 
     #[test]
     fn summary_aggregates_and_ignores_timing() {
         let mut events = run_events();
         events.push(Event::SolverDone {
-            solver: Solver::Sor,
+            solver: Solver::Mg,
             sweeps: 100,
             residual: 1e-13,
             converged: true,
@@ -442,8 +442,8 @@ mod tests {
         assert_eq!(s.proposed, 4);
         assert_eq!(s.accepted, 2);
         assert_eq!(s.ir_noop_applied, 1);
-        assert_eq!(s.sor_solves, 1);
-        assert_eq!(s.sor_sweeps, 100);
+        assert_eq!(s.mg_solves, 1);
+        assert_eq!(s.mg_iters, 100);
         assert_eq!(s.sides, 1);
         assert!((s.acceptance_rate() - 0.5).abs() < 1e-15);
 

@@ -1,55 +1,15 @@
 //! High-level IR-drop analysis entry points.
 
-use std::fmt;
-
-use crate::{
-    cg::solve_cg_nodes, solve_cg, solve_sor, sor::solve_sor_nodes, GridSpec, IrMap, PadPlan,
-    PadRing, PowerError,
-};
-
-/// Which linear solver to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Solver {
-    /// Successive over-relaxation (default).
-    #[default]
-    Sor,
-    /// Conjugate gradient (cross-validation / anisotropy-heavy grids).
-    Cg,
-}
-
-impl fmt::Display for Solver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Sor => f.write_str("sor"),
-            Self::Cg => f.write_str("cg"),
-        }
-    }
-}
-
-/// Solves the grid with the chosen solver.
-///
-/// # Errors
-///
-/// Propagates [`PowerError`] from the solver.
-pub fn solve(spec: &GridSpec, pads: &PadRing, solver: Solver) -> Result<IrMap, PowerError> {
-    match solver {
-        Solver::Sor => solve_sor(spec, pads),
-        Solver::Cg => solve_cg(spec, pads),
-    }
-}
+use crate::{mg::solve_mg_nodes, GridSpec, IrMap, PadPlan, PowerError};
 
 /// Solves the grid for any pad plan (wire-bond ring, flip-chip array, or
-/// explicit nodes).
+/// explicit nodes) with the production solver, [`crate::solve_mg`].
 ///
 /// # Errors
 ///
 /// Propagates [`PowerError`] from plan validation or the solver.
-pub fn solve_plan(spec: &GridSpec, plan: &PadPlan, solver: Solver) -> Result<IrMap, PowerError> {
-    let nodes = plan.clamp_nodes(spec)?;
-    match solver {
-        Solver::Sor => solve_sor_nodes(spec, &nodes),
-        Solver::Cg => solve_cg_nodes(spec, &nodes),
-    }
+pub fn solve_plan(spec: &GridSpec, plan: &PadPlan) -> Result<IrMap, PowerError> {
+    solve_mg_nodes(spec, &plan.clamp_nodes(spec)?)
 }
 
 /// The paper's "improved IR-drop (%)": the relative reduction
@@ -68,14 +28,20 @@ pub fn improvement_percent(before: f64, after: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{solve_cg_nodes, PadArray, PadRing};
 
     #[test]
-    fn solve_dispatches_to_both_solvers() {
+    fn solve_plan_matches_cg_on_every_plan_kind() {
         let spec = GridSpec::default_chip(10);
-        let ring = PadRing::uniform(4);
-        let a = solve(&spec, &ring, Solver::Sor).unwrap();
-        let b = solve(&spec, &ring, Solver::Cg).unwrap();
-        assert!((a.max_drop() - b.max_drop()).abs() < 1e-6);
+        for plan in [
+            PadPlan::WireBond(PadRing::uniform(4)),
+            PadPlan::FlipChip(PadArray::new(2, 2).unwrap()),
+            PadPlan::Explicit(vec![(0, 0), (9, 9)]),
+        ] {
+            let a = solve_plan(&spec, &plan).unwrap();
+            let b = solve_cg_nodes(&spec, &plan.clamp_nodes(&spec).unwrap()).unwrap();
+            assert!((a.max_drop() - b.max_drop()).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -86,12 +52,5 @@ mod tests {
         assert!((improvement_percent(before, after) - 27.36).abs() < 1e-9);
         assert!(improvement_percent(50.0, 60.0) < 0.0);
         assert_eq!(improvement_percent(0.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn solver_display_names() {
-        assert_eq!(Solver::Sor.to_string(), "sor");
-        assert_eq!(Solver::Cg.to_string(), "cg");
-        assert_eq!(Solver::default(), Solver::Sor);
     }
 }

@@ -1,4 +1,5 @@
-//! Matrix-free conjugate-gradient solver, used to cross-validate SOR.
+//! Matrix-free conjugate-gradient solver without a preconditioner, an
+//! independent reference for the production solver.
 
 use copack_obs::{Event, NoopRecorder, Recorder, Solver};
 
@@ -10,11 +11,13 @@ const TOL: f64 = 1e-12;
 /// Solves the power grid by conjugate gradient on the free (un-clamped)
 /// nodes. The reduced conductance matrix is symmetric positive definite as
 /// soon as at least one pad clamps a node, so CG converges; it serves as an
-/// independent check on [`crate::solve_sor`].
+/// independent check on [`crate::solve_mg`].
 ///
 /// # Errors
 ///
-/// * [`PowerError::BadSpec`] for an invalid grid.
+/// * [`PowerError::BadSpec`] for an invalid grid, or a clamp node off the
+///   grid.
+/// * [`PowerError::NoPads`] for an empty clamp list.
 /// * [`PowerError::NoConvergence`] if the iteration cap (`10·n`) is hit.
 pub fn solve_cg(spec: &GridSpec, pads: &PadRing) -> Result<IrMap, PowerError> {
     solve_cg_nodes(spec, &pads.clamp_nodes(spec))
@@ -56,12 +59,9 @@ pub fn solve_cg_nodes_traced(
     recorder: &mut dyn Recorder,
 ) -> Result<IrMap, PowerError> {
     spec.validate()?;
+    let clamped = spec.clamp_mask(clamp)?;
     let (nx, ny) = (spec.nx, spec.ny);
     let n = spec.node_count();
-    let mut clamped = vec![false; n];
-    for &(i, j) in clamp {
-        clamped[spec.idx(i, j)] = true;
-    }
 
     // Map free nodes to compact indices.
     let mut free_of = vec![usize::MAX; n];
@@ -203,22 +203,22 @@ pub fn solve_cg_nodes_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve_sor;
+    use crate::solve_mg;
 
     #[test]
-    fn cg_matches_sor() {
+    fn cg_matches_mg() {
         let spec = GridSpec::default_chip(14);
         for ring in [
             PadRing::uniform(3),
             PadRing::uniform(9),
             PadRing::from_ts([0.0, 0.03, 0.7]).unwrap(),
         ] {
-            let a = solve_sor(&spec, &ring).unwrap();
+            let a = solve_mg(&spec, &ring).unwrap();
             let b = solve_cg(&spec, &ring).unwrap();
             for (va, vb) in a.voltages().iter().zip(b.voltages()) {
-                assert!((va - vb).abs() < 1e-6, "{va} vs {vb}");
+                assert!((va - vb).abs() < 1e-9, "{va} vs {vb}");
             }
-            assert!((a.max_drop() - b.max_drop()).abs() < 1e-6);
+            assert!((a.max_drop() - b.max_drop()).abs() < 1e-9);
         }
     }
 
@@ -255,5 +255,24 @@ mod tests {
             ..GridSpec::default_chip(8)
         };
         assert!(solve_cg(&bad, &PadRing::uniform(2)).is_err());
+    }
+
+    #[test]
+    fn an_empty_clamp_list_is_no_pads() {
+        let spec = GridSpec::default_chip(8);
+        assert_eq!(solve_cg_nodes(&spec, &[]), Err(PowerError::NoPads));
+    }
+
+    #[test]
+    fn an_off_grid_clamp_node_is_a_bad_spec() {
+        let spec = GridSpec::default_chip(8);
+        for node in [(8, 0), (0, 8)] {
+            assert_eq!(
+                solve_cg_nodes(&spec, &[(0, 0), node]),
+                Err(PowerError::BadSpec {
+                    parameter: "pad node"
+                })
+            );
+        }
     }
 }

@@ -14,14 +14,16 @@ pub const MAX_DENSE_NODES: usize = 1024;
 
 /// Solves the power grid exactly (up to rounding) by dense LU with partial
 /// pivoting on the free nodes. The linear system is identical to the one
-/// [`crate::solve_sor`] and [`crate::solve_cg`] iterate on: diagonal = sum
+/// [`crate::solve_mg`] and [`crate::solve_cg`] iterate on: diagonal = sum
 /// of adjacent edge conductances, off-diagonal = −g per free neighbour,
 /// right-hand side = −I(i,j) plus `g·Vdd` per clamped neighbour.
 ///
 /// # Errors
 ///
-/// * [`PowerError::BadSpec`] for an invalid grid, or one with more than
-///   [`MAX_DENSE_NODES`] free nodes (the solver is O(n³)).
+/// * [`PowerError::BadSpec`] for an invalid grid, a clamp node off the
+///   grid, or more than [`MAX_DENSE_NODES`] free nodes (the solver is
+///   O(n³)).
+/// * [`PowerError::NoPads`] for an empty clamp list.
 /// * [`PowerError::NoConvergence`] if elimination hits a zero pivot (the
 ///   grid floats, which cannot happen once a pad clamps a node).
 pub fn solve_dense(spec: &GridSpec, pads: &PadRing) -> Result<IrMap, PowerError> {
@@ -35,12 +37,9 @@ pub fn solve_dense(spec: &GridSpec, pads: &PadRing) -> Result<IrMap, PowerError>
 /// As [`solve_dense`].
 pub fn solve_dense_nodes(spec: &GridSpec, clamp: &[(usize, usize)]) -> Result<IrMap, PowerError> {
     spec.validate()?;
+    let clamped = spec.clamp_mask(clamp)?;
     let (nx, ny) = (spec.nx, spec.ny);
     let n = spec.node_count();
-    let mut clamped = vec![false; n];
-    for &(i, j) in clamp {
-        clamped[spec.idx(i, j)] = true;
-    }
 
     let mut free_of = vec![usize::MAX; n];
     let mut free_nodes = Vec::new();
@@ -147,10 +146,10 @@ pub fn solve_dense_nodes(spec: &GridSpec, clamp: &[(usize, usize)]) -> Result<Ir
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_cg, solve_sor};
+    use crate::{solve_cg, solve_mg};
 
     #[test]
-    fn dense_matches_sor_and_cg() {
+    fn dense_matches_mg_and_cg() {
         let spec = GridSpec::default_chip(12);
         for ring in [
             PadRing::uniform(3),
@@ -158,11 +157,11 @@ mod tests {
             PadRing::from_ts([0.0, 0.03, 0.7]).unwrap(),
         ] {
             let d = solve_dense(&spec, &ring).unwrap();
-            let s = solve_sor(&spec, &ring).unwrap();
+            let m = solve_mg(&spec, &ring).unwrap();
             let c = solve_cg(&spec, &ring).unwrap();
-            for ((vd, vs), vc) in d.voltages().iter().zip(s.voltages()).zip(c.voltages()) {
-                assert!((vd - vs).abs() < 1e-6, "{vd} vs sor {vs}");
-                assert!((vd - vc).abs() < 1e-6, "{vd} vs cg {vc}");
+            for ((vd, vm), vc) in d.voltages().iter().zip(m.voltages()).zip(c.voltages()) {
+                assert!((vd - vm).abs() < 1e-9, "{vd} vs mg {vm}");
+                assert!((vd - vc).abs() < 1e-9, "{vd} vs cg {vc}");
             }
         }
     }
@@ -203,5 +202,24 @@ mod tests {
         let d = solve_dense(&spec, &ring).unwrap();
         let c = solve_cg(&spec, &ring).unwrap();
         assert!((d.max_drop() - c.max_drop()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn an_empty_clamp_list_is_no_pads() {
+        let spec = GridSpec::default_chip(8);
+        assert_eq!(solve_dense_nodes(&spec, &[]), Err(PowerError::NoPads));
+    }
+
+    #[test]
+    fn an_off_grid_clamp_node_is_a_bad_spec() {
+        let spec = GridSpec::default_chip(8);
+        for node in [(8, 0), (0, 8)] {
+            assert_eq!(
+                solve_dense_nodes(&spec, &[(0, 0), node]),
+                Err(PowerError::BadSpec {
+                    parameter: "pad node"
+                })
+            );
+        }
     }
 }

@@ -153,6 +153,29 @@ impl GridSpec {
         current
     }
 
+    /// The clamp set as a row-major per-node mask, checked once for every
+    /// solver that takes a clamp-node list.
+    ///
+    /// # Errors
+    ///
+    /// * [`PowerError::NoPads`] for an empty list (the grid would float).
+    /// * [`PowerError::BadSpec`] (`"pad node"`) for a node off the grid.
+    pub(crate) fn clamp_mask(&self, clamp: &[(usize, usize)]) -> Result<Vec<bool>, PowerError> {
+        if clamp.is_empty() {
+            return Err(PowerError::NoPads);
+        }
+        let mut mask = vec![false; self.node_count()];
+        for &(i, j) in clamp {
+            if i >= self.nx || j >= self.ny {
+                return Err(PowerError::BadSpec {
+                    parameter: "pad node",
+                });
+            }
+            mask[j * self.nx + i] = true;
+        }
+        Ok(mask)
+    }
+
     /// Linear node index of `(i, j)`.
     #[must_use]
     pub fn idx(&self, i: usize, j: usize) -> usize {

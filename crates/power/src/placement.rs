@@ -126,7 +126,7 @@ impl PadPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_plan, Solver};
+    use crate::solve_plan;
 
     #[test]
     fn array_nodes_cover_the_interior() {
@@ -163,8 +163,8 @@ mod tests {
         let spec = GridSpec::default_chip(24);
         let wire_bond = PadPlan::WireBond(crate::PadRing::uniform(16));
         let flip_chip = PadPlan::FlipChip(PadArray::new(4, 4).unwrap());
-        let wb = solve_plan(&spec, &wire_bond, Solver::Sor).unwrap();
-        let fc = solve_plan(&spec, &flip_chip, Solver::Sor).unwrap();
+        let wb = solve_plan(&spec, &wire_bond).unwrap();
+        let fc = solve_plan(&spec, &flip_chip).unwrap();
         assert!(
             fc.max_drop() < wb.max_drop() / 2.0,
             "flip-chip {:.4} !<< wire-bond {:.4}",

@@ -76,7 +76,7 @@ impl PadSpacingProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_sor, GridSpec, PadRing};
+    use crate::{solve_mg, GridSpec, PadRing};
 
     #[test]
     fn uniform_ring_scores_zero() {
@@ -130,7 +130,7 @@ mod tests {
         let mut scores = Vec::new();
         for ts in &rings {
             let proxy = PadSpacingProxy::new(ts).unwrap().delta_ir();
-            let drop = solve_sor(&spec, &PadRing::from_ts(ts.iter().copied()).unwrap())
+            let drop = solve_mg(&spec, &PadRing::from_ts(ts.iter().copied()).unwrap())
                 .unwrap()
                 .max_drop();
             scores.push((proxy, drop));

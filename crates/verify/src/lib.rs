@@ -19,7 +19,7 @@
 //! |---|---|
 //! | `monotonicity`  | every accepted exchange move preserves the monotonic via rule, and replaying the best prefix of the move journal reproduces the returned order bit for bit |
 //! | `density`       | the O(1) kernel equals `exchange_reference`, and the incremental `SectionTracker`/`DeltaIrTracker`/`RangeCache` state replayed over the journal equals the from-scratch definitions on the final order |
-//! | `ir-cross-check`| SOR, CG, and a small dense direct solve agree on the same pad assignment |
+//! | `ir-cross-check`| the production multigrid-preconditioned CG, plain CG, and a small dense direct solve agree within 1e-9 V on the same pad assignment |
 //! | `determinism`   | same seed ⇒ byte-identical reports for every thread count, and re-running the pipeline reproduces itself |
 //! | `cost-ledger`   | each journal Δcost equals the cost difference bit-exactly, and the final cost is the running minimum bit-exactly |
 //! | `replan_vs_scratch` | the warm-started replan of a churned instance validates clean and lands within [`REPLAN_TOLERANCE`] of the from-scratch cost |

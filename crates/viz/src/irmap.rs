@@ -35,11 +35,11 @@ pub fn irmap_svg(map: &IrMap, scale_mv: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copack_power::{solve_sor, GridSpec, PadRing};
+    use copack_power::{solve_mg, GridSpec, PadRing};
 
     fn sample_map() -> IrMap {
         let spec = GridSpec::default_chip(8);
-        solve_sor(&spec, &PadRing::uniform(4)).unwrap()
+        solve_mg(&spec, &PadRing::uniform(4)).unwrap()
     }
 
     #[test]

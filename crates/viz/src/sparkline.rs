@@ -78,7 +78,7 @@ pub fn trace_sparklines(events: &[Event], width: usize) -> String {
         out.push_str(&sparkline(&downsample(&acceptance, width)));
         out.push('\n');
     }
-    for (solver, label) in [(Solver::Sor, "sor resid "), (Solver::Cg, "cg resid  ")] {
+    for (solver, label) in [(Solver::Mg, "mg resid  "), (Solver::Cg, "cg resid  ")] {
         let residuals = residual_curve(events, solver);
         if !residuals.is_empty() {
             out.push_str(label);

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --release --example flipchip_vs_wirebond`.
 
-use copack::power::{solve_plan, GridSpec, Hotspot, PadArray, PadPlan, PadRing, Solver};
+use copack::power::{solve_plan, GridSpec, Hotspot, PadArray, PadPlan, PadRing};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grid = GridSpec {
@@ -22,16 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for side in [2usize, 3, 4, 6, 8] {
         let pads = side * side;
-        let wb = solve_plan(
-            &grid,
-            &PadPlan::WireBond(PadRing::uniform(pads)),
-            Solver::Sor,
-        )?;
-        let fc = solve_plan(
-            &grid,
-            &PadPlan::FlipChip(PadArray::new(side, side)?),
-            Solver::Sor,
-        )?;
+        let wb = solve_plan(&grid, &PadPlan::WireBond(PadRing::uniform(pads)))?;
+        let fc = solve_plan(&grid, &PadPlan::FlipChip(PadArray::new(side, side)?))?;
         println!(
             "{pads:>6} {:>18.2} {:>18.2} {:>8.2}",
             wb.max_drop() * 1000.0,
@@ -50,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }],
         ..grid.clone()
     };
-    let wb = solve_plan(&hot, &PadPlan::WireBond(PadRing::uniform(16)), Solver::Sor)?;
-    let fc = solve_plan(&hot, &PadPlan::FlipChip(PadArray::new(4, 4)?), Solver::Sor)?;
+    let wb = solve_plan(&hot, &PadPlan::WireBond(PadRing::uniform(16)))?;
+    let fc = solve_plan(&hot, &PadPlan::FlipChip(PadArray::new(4, 4)?))?;
     println!(
         "  16 pads: wire-bond {:.2} mV, flip-chip {:.2} mV (ratio {:.2})",
         wb.max_drop() * 1000.0,

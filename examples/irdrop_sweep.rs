@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --release --example irdrop_sweep`.
 
-use copack::power::{solve_sor, GridSpec, Hotspot, PadRing, PadSpacingProxy};
+use copack::power::{solve_mg, GridSpec, Hotspot, PadRing, PadSpacingProxy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grid = GridSpec {
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("pad-budget sweep (uniform ring, 48x48 grid):");
     println!("{:>6} {:>14}", "pads", "max drop (mV)");
     for pads in [2usize, 4, 8, 16, 32, 64] {
-        let map = solve_sor(&grid, &PadRing::uniform(pads))?;
+        let map = solve_mg(&grid, &PadRing::uniform(pads))?;
         println!("{pads:>6} {:>14.2}", map.max_drop() * 1000.0);
     }
 
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>16} {:>14} {:>12}", "plan", "max drop (mV)", "delta_IR");
     for (name, ts) in plans {
         let proxy = PadSpacingProxy::new(&ts)?.delta_ir();
-        let map = solve_sor(&grid, &PadRing::from_ts(ts)?)?;
+        let map = solve_mg(&grid, &PadRing::from_ts(ts)?)?;
         println!("{name:>16} {:>14.2} {proxy:>12.5}", map.max_drop() * 1000.0);
     }
 
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }],
             ..grid.clone()
         };
-        let map = solve_sor(&spec, &PadRing::uniform(12))?;
+        let map = solve_mg(&spec, &PadRing::uniform(12))?;
         println!("{mult:>12.1} {:>14.2}", map.max_drop() * 1000.0);
     }
 

@@ -8,7 +8,7 @@ use copack::core::{
 use copack::gen::{circuit, circuits, large_circuit};
 use copack::geom::{Assignment, Package, StackConfig};
 use copack::io::{parse_assignment, parse_quadrant, write_assignment, write_quadrant};
-use copack::power::{solve_plan, GridSpec, Hotspot, PadArray, PadPlan, PadRing, Solver};
+use copack::power::{solve_cg_nodes, solve_plan, GridSpec, Hotspot, PadArray, PadPlan, PadRing};
 use copack::route::{
     cutline_congestion, density_map, density_map_with_plan, via_plan_with, DensityModel, FlankLoad,
     ViaRule,
@@ -68,18 +68,9 @@ fn flip_chip_always_beats_the_ring() {
     let grid = GridSpec::default_chip(20);
     for side in [2usize, 3, 4] {
         let pads = side * side;
-        let wb = solve_plan(
-            &grid,
-            &PadPlan::WireBond(PadRing::uniform(pads)),
-            Solver::Sor,
-        )
-        .expect("solves");
-        let fc = solve_plan(
-            &grid,
-            &PadPlan::FlipChip(PadArray::new(side, side).expect("array")),
-            Solver::Cg,
-        )
-        .expect("solves");
+        let wb = solve_plan(&grid, &PadPlan::WireBond(PadRing::uniform(pads))).expect("solves");
+        let array = PadArray::new(side, side).expect("array");
+        let fc = solve_cg_nodes(&grid, &array.clamp_nodes(&grid)).expect("solves");
         assert!(fc.max_drop() < wb.max_drop(), "{pads} pads");
     }
 }
@@ -88,7 +79,7 @@ fn flip_chip_always_beats_the_ring() {
 fn hotspots_worsen_the_drop_and_move_the_worst_node() {
     let base = GridSpec::default_chip(24);
     let ring = PadRing::uniform(8);
-    let flat = copack::power::solve_sor(&base, &ring).expect("solves");
+    let flat = copack::power::solve_mg(&base, &ring).expect("solves");
     let hot = GridSpec {
         hotspots: vec![Hotspot {
             cx: 0.2,
@@ -98,7 +89,7 @@ fn hotspots_worsen_the_drop_and_move_the_worst_node() {
         }],
         ..base
     };
-    let heated = copack::power::solve_sor(&hot, &ring).expect("solves");
+    let heated = copack::power::solve_mg(&hot, &ring).expect("solves");
     assert!(heated.max_drop() > flat.max_drop());
     // The worst node migrates towards the hotspot corner.
     let (i, j) = heated.worst_node();

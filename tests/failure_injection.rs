@@ -96,7 +96,7 @@ fn power_layer_rejects_degenerate_problems() {
         ..GridSpec::default_chip(8)
     };
     assert!(matches!(
-        copack::power::solve_sor(&bad_grid, &PadRing::uniform(2)),
+        copack::power::solve_mg(&bad_grid, &PadRing::uniform(2)),
         Err(PowerError::BadSpec { .. })
     ));
 }
