@@ -8,7 +8,7 @@
 //! anisotropy, clamp set and current map, and on the IR-drop figures the
 //! co-design flow reports for the Table 1 circuits.
 
-use copack::core::{Codesign, ExchangeConfig, Schedule};
+use copack::core::{evaluate_ir_map_traced, Codesign, ExchangeConfig, Schedule};
 use copack::gen::circuits;
 use copack::geom::{Assignment, NetKind, Quadrant};
 use copack::obs::{Event, Solver, TraceBuffer};
@@ -256,6 +256,157 @@ fn cg_ir(quadrant: &Quadrant, assignment: &Assignment, grid: &GridSpec) -> f64 {
     solve_cg_nodes(grid, &ring.clamp_nodes(grid))
         .expect("cg solves")
         .max_drop()
+}
+
+/// A 64-bit FNV-1a digest, fed one little-endian word at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Folds in one traced solve: the bits of every voltage, of every
+    /// per-iteration residual, and the iteration count.
+    fn solve(&mut self, map: &IrMap, trace: &TraceBuffer) {
+        for &v in map.voltages() {
+            self.word(v.to_bits());
+        }
+        for event in trace.events() {
+            match *event {
+                Event::SolverSweep { residual, .. } => self.word(residual.to_bits()),
+                Event::SolverDone { sweeps, .. } => self.word(u64::from(sweeps)),
+                ref other => panic!("unexpected event {other:?}"),
+            }
+        }
+    }
+}
+
+/// SplitMix64: a fixed, dependency-free stream for the pinned grid list.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[lo, hi]`.
+    fn below(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The solver's exact output on the flow's 20 Table 1 pad rings: the
+/// default `Codesign` on circuits 1–5 at ψ = 1 and 4, solved before and
+/// after the exchange. A kernel rewrite that keeps each node's operands
+/// and their order leaves this digest unchanged; anything else moves it.
+#[test]
+fn table1_rings_solve_to_pinned_bits() {
+    let mut digest = Fnv::new();
+    for planar in circuits() {
+        for circuit in [planar.clone(), planar.stacked(4)] {
+            let quadrant = circuit.build_quadrant().expect("Table 1 circuits build");
+            let flow = Codesign {
+                stack: circuit.stack().expect("valid tier count"),
+                ..Codesign::default()
+            };
+            let report = flow.run(&quadrant).expect("flow runs");
+            for (reported, order) in [
+                (report.ir_before, &report.initial),
+                (report.ir_after, &report.final_assignment),
+            ] {
+                let mut trace = TraceBuffer::new();
+                let map = evaluate_ir_map_traced(&quadrant, order, &flow.grid, None, &mut trace)
+                    .expect("solves")
+                    .expect("power nets");
+                assert_eq!(reported, Some(map.max_drop()), "{}", circuit.name);
+                digest.solve(&map, &trace);
+            }
+        }
+    }
+    assert_eq!(digest.0, 0x8742_bfd5_b6ad_4c5e, "digest {:#018x}", digest.0);
+}
+
+/// The solver's exact output on a fixed list of 250 seeded grids: 2×N
+/// and N×2 strips and other shapes up to 64×64, sheets up to 10×
+/// anisotropic either way, ring, area-array and explicit clamp sets, and
+/// the two strips whose coarse operators are singular. Hotspots are left
+/// out: their current map goes through libm's `hypot`, which the
+/// proptests above cover to 1e-9 V instead.
+#[test]
+fn seeded_grids_solve_to_pinned_bits() {
+    let mut rng = SplitMix(0x5eed_0f1e_2024_0018);
+    let mut cases: Vec<(GridSpec, Vec<(usize, usize)>)> = Vec::new();
+    // Coarse rows 0 and 1 (then 1 and 2) share one free fine row, so the
+    // Galerkin operator below them is singular.
+    for (ny, rows) in [(5, &[0, 2, 3][..]), (7, &[0, 1, 2, 4, 5][..])] {
+        let spec = GridSpec {
+            nx: 2,
+            ny,
+            ..GridSpec::default_chip(2)
+        };
+        let clamp = rows.iter().flat_map(|&j| [(0, j), (1, j)]).collect();
+        cases.push((spec, clamp));
+    }
+    while cases.len() < 250 {
+        let (nx, ny) = match rng.below(0, 5) {
+            0 => (2, rng.below(2, 64)),
+            1 => (rng.below(2, 64), 2),
+            _ => (rng.below(2, 64), rng.below(2, 64)),
+        };
+        let r_sheet_x = 0.02 + 0.06 * rng.unit();
+        let ratio = if rng.below(0, 1) == 0 {
+            0.1 + 0.9 * rng.unit()
+        } else {
+            1.0 + 9.0 * rng.unit()
+        };
+        let spec = GridSpec {
+            nx,
+            ny,
+            r_sheet_x,
+            r_sheet_y: r_sheet_x * ratio,
+            ..GridSpec::default_chip(nx)
+        };
+        let plan = match rng.below(0, 2) {
+            0 => {
+                let ts: Vec<f64> = (0..rng.below(1, 23)).map(|_| rng.unit()).collect();
+                PadPlan::WireBond(PadRing::from_ts(ts).expect("ts in [0, 1)"))
+            }
+            1 => PadPlan::FlipChip(
+                PadArray::new(rng.below(1, 4), rng.below(1, 4)).expect("non-empty"),
+            ),
+            _ => PadPlan::Explicit(
+                (0..rng.below(1, 7))
+                    .map(|_| (rng.below(0, nx - 1), rng.below(0, ny - 1)))
+                    .collect(),
+            ),
+        };
+        let clamp = plan.clamp_nodes(&spec).expect("plan clamps nodes");
+        cases.push((spec, clamp));
+    }
+    let mut digest = Fnv::new();
+    for (spec, clamp) in &cases {
+        let mut trace = TraceBuffer::new();
+        let map = solve_mg_nodes_traced(spec, clamp, &mut trace).expect("solves");
+        digest.solve(&map, &trace);
+    }
+    assert_eq!(digest.0, 0x07b2_011f_274f_5c7b, "digest {:#018x}", digest.0);
 }
 
 #[test]
