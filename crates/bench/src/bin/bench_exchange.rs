@@ -15,8 +15,8 @@
 //! Run with `cargo run --release -p copack-bench --bin bench_exchange`.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use copack_bench::{host_cores, timed, Spread};
 use copack_core::{
     dfa, exchange, exchange_reference, exchange_traced, ExchangeConfig, ExchangeResult, Schedule,
 };
@@ -36,50 +36,29 @@ const TELEMETRY_REPS: usize = 30;
 
 /// The spread of one configuration's timed runs.
 struct Timing {
-    reps: usize,
-    min: f64,
-    median: f64,
-    p90: f64,
+    spread: Spread,
     /// Proposed moves per run (the same in every run).
     moves: usize,
 }
 
 impl Timing {
-    /// Summarises per-run wall seconds: the upper median and the
-    /// nearest-rank p90.
-    fn of(mut seconds: Vec<f64>, moves: usize) -> Self {
-        seconds.sort_by(f64::total_cmp);
-        let n = seconds.len();
+    fn of(seconds: Vec<f64>, moves: usize) -> Self {
         Self {
-            reps: n,
-            min: seconds[0],
-            median: seconds[n / 2],
-            p90: seconds[(n * 9).div_ceil(10) - 1],
+            spread: Spread::of(seconds),
             moves,
         }
     }
 
     fn moves_per_sec(&self) -> f64 {
-        self.moves as f64 / self.median.max(1e-12)
+        self.moves as f64 / self.spread.median.max(1e-12)
     }
-}
-
-/// Wall seconds of one call, and its result.
-fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let result = f();
-    (start.elapsed().as_secs_f64(), result)
 }
 
 fn json_timing(out: &mut String, key: &str, t: &Timing) {
     let _ = write!(
         out,
-        "\"{key}\": {{\"reps\": {}, \"min_s\": {:.6}, \"median_s\": {:.6}, \"p90_s\": {:.6}, \
-         \"moves\": {}, \"moves_per_sec\": {:.1}}}",
-        t.reps,
-        t.min,
-        t.median,
-        t.p90,
+        "\"{key}\": {{{}, \"moves\": {}, \"moves_per_sec\": {:.1}}}",
+        t.spread.json_fields(),
         t.moves,
         t.moves_per_sec()
     );
@@ -123,7 +102,7 @@ fn bench_pair(
 
 /// One `circuits` entry of the JSON, echoed to the console.
 fn row(name: &str, psi: u8, nets: usize, inc: &Timing, reference: &Timing) -> String {
-    let speedup = reference.median / inc.median.max(1e-12);
+    let speedup = reference.spread.median / inc.spread.median.max(1e-12);
     let mut entry = String::new();
     let _ = write!(
         entry,
@@ -137,8 +116,8 @@ fn row(name: &str, psi: u8, nets: usize, inc: &Timing, reference: &Timing) -> St
         "{name} psi={psi}: incremental {:.1} moves/s ({:.1} ns/move, median of {}), \
          reference {:.1} moves/s ({speedup:.2}x)",
         inc.moves_per_sec(),
-        inc.median * 1e9 / inc.moves.max(1) as f64,
-        inc.reps,
+        inc.spread.median * 1e9 / inc.moves.max(1) as f64,
+        inc.spread.reps,
         reference.moves_per_sec(),
     );
     entry
@@ -157,7 +136,7 @@ fn main() {
         },
         ..ExchangeConfig::default()
     };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = host_cores();
 
     let mut entries: Vec<String> = Vec::new();
     for circuit in circuits() {
@@ -307,7 +286,7 @@ fn bench_telemetry(config: &ExchangeConfig) -> String {
         "telemetry ({} psi=1): untraced {base_rate:.1} moves/s, jsonl {traced_rate:.1} moves/s \
          ({overhead_percent:.1}% overhead, drain {:.1} ms), replay exact over {} events",
         circuit.name,
-        drain.median * 1e3,
+        drain.spread.median * 1e3,
         events.len()
     );
     assert!(
@@ -328,7 +307,7 @@ fn bench_telemetry(config: &ExchangeConfig) -> String {
         block,
         ", \"overhead_percent\": {overhead_percent:.2}, \"drain_median_s\": {:.6}, \
          \"events\": {}, \"replay_exact\": true}}",
-        drain.median,
+        drain.spread.median,
         events.len()
     );
     block

@@ -2,7 +2,7 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see the experiment index in `DESIGN.md`); this small library holds the
-//! text-table plumbing they share.
+//! text-table and timing plumbing they share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +12,7 @@ mod reports;
 pub use reports::{fig5_report, margin_report, table2_report, table3_report};
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// A plain-text table printer that mimics the paper's layout: a header row,
 /// aligned columns, and whatever summary rows the caller appends.
@@ -121,6 +122,64 @@ where
         .collect()
 }
 
+/// The spread of one configuration's timed runs, as every `BENCH_*.json`
+/// row records it: the repetition count, the minimum, the upper median
+/// and the nearest-rank p90, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Timed runs.
+    pub reps: usize,
+    /// Fastest run.
+    pub min: f64,
+    /// Upper median run.
+    pub median: f64,
+    /// Nearest-rank 90th-percentile run.
+    pub p90: f64,
+}
+
+impl Spread {
+    /// Summarises per-run wall seconds.
+    ///
+    /// # Panics
+    ///
+    /// On an empty set of runs.
+    #[must_use]
+    pub fn of(mut seconds: Vec<f64>) -> Self {
+        assert!(!seconds.is_empty(), "a spread needs at least one run");
+        seconds.sort_by(f64::total_cmp);
+        let n = seconds.len();
+        Self {
+            reps: n,
+            min: seconds[0],
+            median: seconds[n / 2],
+            p90: seconds[(n * 9).div_ceil(10) - 1],
+        }
+    }
+
+    /// The spread's JSON fields, without braces:
+    /// `"reps": …, "min_s": …, "median_s": …, "p90_s": …`.
+    #[must_use]
+    pub fn json_fields(&self) -> String {
+        format!(
+            "\"reps\": {}, \"min_s\": {:.6}, \"median_s\": {:.6}, \"p90_s\": {:.6}",
+            self.reps, self.min, self.median, self.p90
+        )
+    }
+}
+
+/// Wall seconds of one call, and its result.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let result = f();
+    (start.elapsed().as_secs_f64(), result)
+}
+
+/// The host's core count, which every `BENCH_*.json` records.
+#[must_use]
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Formats a float with 2 decimal places (the paper's table style).
 #[must_use]
 pub fn f2(v: f64) -> String {
@@ -158,6 +217,18 @@ mod tests {
         let s = t.render();
         assert!(s.starts_with("a    bb"), "{s}");
         assert_eq!(s.lines().count(), 4);
+    }
+
+    #[test]
+    fn spread_takes_the_upper_median_and_nearest_rank_p90() {
+        let s = Spread::of((1..=10).rev().map(f64::from).collect());
+        assert_eq!((s.reps, s.min, s.median, s.p90), (10, 1.0, 6.0, 9.0));
+        let one = Spread::of(vec![0.5]);
+        assert_eq!((one.min, one.median, one.p90), (0.5, 0.5, 0.5));
+        assert_eq!(
+            Spread::of(vec![0.25, 0.125]).json_fields(),
+            "\"reps\": 2, \"min_s\": 0.125000, \"median_s\": 0.250000, \"p90_s\": 0.250000"
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 mod support;
 
-use copack_serve::{ErrorKind, JobSpec, Request, Response, ServeConfig};
+use copack_io::TuneProfile;
+use copack_serve::{encode_request, ErrorKind, JobSpec, Request, Response, ServeConfig};
 use std::io::Write as _;
 use std::net::TcpStream;
 use support::{circuit_text, TestServer};
@@ -77,6 +78,52 @@ fn bad_requests_are_distinguished_from_bad_frames() {
     // The unparsable circuit was counted but nothing ever executed.
     assert_eq!(summary.status.submitted, 1);
     assert_eq!(summary.status.completed, 0);
+}
+
+#[test]
+fn a_profile_job_that_sets_a_replaced_tunable_is_a_bad_request() {
+    let server = TestServer::start(ServeConfig {
+        profile: Some(TuneProfile {
+            seed: 1,
+            space_fingerprint: 1,
+            classes: Vec::new(),
+        }),
+        ..quick_config()
+    });
+    let mut client = server.client();
+    let profiled = JobSpec {
+        exchange: true,
+        profile: true,
+        ..JobSpec::new(circuit_text(1))
+    };
+    let frame = encode_request(&Request::Plan(profiled.clone()));
+    // Each tunable the profile replaces, set on the wire beside it.
+    for (field, value) in [
+        ("starts", "8".to_owned()),
+        ("prune_margin_bits", 0.5f64.to_bits().to_string()),
+        ("mode", "\"coop\"".to_owned()),
+        ("kick_size", "3".to_owned()),
+        ("ladder_ratio_bits", 3.0f64.to_bits().to_string()),
+        ("margin_bits", 0.5f64.to_bits().to_string()),
+    ] {
+        let line = frame.replacen(
+            "\"profile\":true",
+            &format!("\"profile\":true,\"{field}\":{value}"),
+            1,
+        ) + "\n";
+        match copack_serve::decode_response(&client.raw(line.as_bytes()).expect("a response")) {
+            Ok(Response::Error(e)) => {
+                assert_eq!(e.kind, ErrorKind::BadRequest, "{field}: {}", e.message);
+                assert!(e.message.contains(&format!("`{field}`")), "{}", e.message);
+            }
+            other => panic!("{field}: expected a bad request, got {other:?}"),
+        }
+    }
+    // The same job without them plans under the profile.
+    client.plan(&profiled).expect("a plain profile job plans");
+
+    let summary = server.shutdown_and_join();
+    assert_eq!(summary.status.completed, 1);
 }
 
 #[test]

@@ -193,7 +193,8 @@ USAGE:
       one quadrant); --margin-weight sets the net-separation margin
       term. Both join the cache key only when they can change the
       result. --use-profile plans under the daemon's loaded tuning
-      profile (see serve --profile). --out writes the assignment file
+      profile (see serve --profile), which sets the portfolio and margin
+      flags, so it refuses them. --out writes the assignment file
       (byte-identical to `copack plan --out`).
 
   copack batch <dir> [--addr HOST:PORT] [--class interactive|bulk]
@@ -1122,6 +1123,22 @@ fn cmd_tune(args: &[String]) -> Result<String, String> {
 /// `--timeout-ms` and `--class`.
 fn job_spec_from_options(opts: &Options) -> Result<JobSpec, String> {
     let flags = PlanningFlags::parse(opts)?;
+    let profile = opts.flag("use-profile").is_some();
+    // The daemon's profile replaces these wholesale, so a value given
+    // with --use-profile would be dropped while still splitting the key.
+    let replaced = [
+        "starts",
+        "prune-margin",
+        "portfolio-mode",
+        "kick-size",
+        "ladder-ratio",
+        "margin-weight",
+    ];
+    if let Some(flag) = replaced.iter().find(|f| profile && opts.value(f).is_some()) {
+        return Err(format!(
+            "--{flag} cannot be combined with --use-profile: the daemon's tuning profile sets it"
+        ));
+    }
     let timeout_ms = match opts.value("timeout-ms") {
         None => None,
         Some(v) => Some(
@@ -1146,7 +1163,7 @@ fn job_spec_from_options(opts: &Options) -> Result<JobSpec, String> {
         ladder_ratio_bits: flags.portfolio.ladder_ratio.to_bits(),
         prev,
         margin_bits: flags.exchange.weights.margin.to_bits(),
-        profile: opts.flag("use-profile").is_some(),
+        profile,
         timeout_ms,
         class: job_class_from_options(opts)?,
     })
@@ -1486,6 +1503,35 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("unknown method"), "error: {err}");
+    }
+
+    #[test]
+    fn submit_refuses_the_flags_a_profile_replaces() {
+        let dir = TestDir::new("profile_flags");
+        let circuit = dir.path("c.copack");
+        fs::write(&circuit, run(&s(&["gen", "1"])).unwrap()).unwrap();
+        let circuit = circuit.to_str().unwrap();
+        for (flag, value) in [
+            ("--starts", "8"),
+            ("--prune-margin", "0.5"),
+            ("--portfolio-mode", "coop"),
+            ("--kick-size", "3"),
+            ("--ladder-ratio", "3.0"),
+            ("--margin-weight", "0.5"),
+        ] {
+            for verb in ["submit", "batch"] {
+                let path = if verb == "submit" {
+                    circuit
+                } else {
+                    dir.0.to_str().unwrap()
+                };
+                let err = run(&s(&[verb, path, "--use-profile", flag, value])).unwrap_err();
+                assert!(
+                    err.contains(&format!("{flag} cannot be combined with --use-profile")),
+                    "{verb} {flag}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
