@@ -22,10 +22,12 @@
 //!    the 2/3 power, cutting the cooling tail — and the temperature
 //!    step count — to roughly two thirds.
 //!
-//! Small instances (fewer fingers than the internal scratch cutoff)
-//! are planned from scratch instead, bit-identically to a cold run: a
-//! tiny anneal is start-dominated noise that no warm policy keeps
-//! reliably equivalent, and re-running it is free.
+//! Small instances (fewer fingers than the internal scratch cutoff),
+//! and short schedules that would give the warm anneal fewer proposals
+//! than the cutoff instance gets under the default schedule, are
+//! planned from scratch instead, bit-identically to a cold run: a small
+//! anneal is start-dominated noise that no warm policy keeps reliably
+//! equivalent, and re-running it is cheap.
 //!
 //! The combination is what `BENCH_replan.json` measures and the
 //! `replan_vs_scratch` oracle proves equivalent: the warm result must
@@ -168,6 +170,26 @@ const MAX_REHEAT_SCALE: f64 = 64.0;
 /// expensive.
 const WARM_SCRATCH_CUTOFF: usize = 48;
 
+/// Proposals a warm anneal of `fingers` fingers gets under `schedule`:
+/// fingers × moves per finger × the [`warm_schedule`]'s step count.
+fn warm_proposals(fingers: usize, schedule: &Schedule) -> usize {
+    fingers * schedule.moves_per_temp_per_finger * warm_schedule(schedule).temperature_steps()
+}
+
+/// Whether the replan of a `fingers`-finger quadrant under `schedule`
+/// runs from scratch: below `WARM_SCRATCH_CUTOFF` fingers, or when the
+/// warm anneal would get fewer proposals than a cutoff-sized quadrant
+/// gets under the default schedule (48 × 2 × 56). A short schedule
+/// reheats to a cold run's starting temperature but cools in too few
+/// steps to settle again, so at a small budget the warm walk can end
+/// no better than its repaired start, far above a from-scratch plan.
+/// At the default schedule the budget rule and the finger cutoff agree.
+fn replans_from_scratch(fingers: usize, schedule: &Schedule) -> bool {
+    fingers < WARM_SCRATCH_CUTOFF
+        || warm_proposals(fingers, schedule)
+            < warm_proposals(WARM_SCRATCH_CUTOFF, &Schedule::default())
+}
+
 /// The annealer's temperature base of a candidate start: the Eq. 3
 /// terms that scale the starting temperature (`λ·Δ_IR + μ·SM` — the ω
 /// part is excluded, exactly as the exchange driver excludes it, and
@@ -193,12 +215,13 @@ fn start_heat(
 /// shortened [`warm_schedule`]. Deterministic for a fixed
 /// `(previous, config)` — repair is pure and the annealer is seeded.
 ///
-/// Below `WARM_SCRATCH_CUTOFF` (48) fingers the edited quadrant is simply
+/// Below `WARM_SCRATCH_CUTOFF` (48) fingers, or below that cutoff's
+/// default-schedule proposal budget, the edited quadrant is simply
 /// planned from scratch — same DFA start, same schedule, same seed as a
 /// cold run, so the result is *bit-identical* to from-scratch and the
-/// replan equivalence holds by construction (a tiny anneal is
+/// replan equivalence holds by construction (a small anneal is
 /// start-dominated noise no warm policy keeps in band, and re-running
-/// it costs nothing).
+/// it is cheap).
 ///
 /// At scale the repaired plan is the start, but it interacts subtly
 /// with the annealer's auto-scaled temperature: the starting
@@ -232,7 +255,7 @@ pub fn exchange_warm(
 ) -> Result<ExchangeResult, CoreError> {
     let repaired = repair_assignment(quadrant, previous)?;
     let fresh = dfa(quadrant, 1).ok();
-    if quadrant.finger_count() < WARM_SCRATCH_CUTOFF {
+    if replans_from_scratch(quadrant.finger_count(), &config.schedule) {
         if let Some(fresh) = fresh {
             return exchange_cancellable(quadrant, &fresh, stack, config, recorder, cancel);
         }
@@ -428,6 +451,30 @@ mod tests {
         .unwrap();
         assert!(e.finger_count() < WARM_SCRATCH_CUTOFF);
         assert_eq!(warm, scratch);
+    }
+
+    #[test]
+    fn a_short_schedule_replans_from_scratch_above_the_finger_cutoff() {
+        let default = Schedule::default();
+        // The default schedule decides by the finger cutoff alone.
+        assert_eq!(
+            warm_proposals(WARM_SCRATCH_CUTOFF, &default),
+            WARM_SCRATCH_CUTOFF * 2 * 56
+        );
+        assert!(replans_from_scratch(WARM_SCRATCH_CUTOFF - 1, &default));
+        assert!(!replans_from_scratch(WARM_SCRATCH_CUTOFF, &default));
+        // The oracles' quick schedule (cooling 0.7, one move per finger)
+        // gives a 13-step warm anneal: too few proposals below ~414
+        // fingers.
+        let quick = Schedule {
+            cooling: 0.7,
+            moves_per_temp_per_finger: 1,
+            ..default
+        };
+        assert_eq!(warm_schedule(&quick).temperature_steps(), 13);
+        assert!(replans_from_scratch(53, &quick));
+        assert!(replans_from_scratch(413, &quick));
+        assert!(!replans_from_scratch(414, &quick));
     }
 
     #[test]

@@ -1,28 +1,29 @@
 //! Job specification, content-addressed cache keys, and the shared
 //! executor.
 //!
-//! [`execute_job`] is the single code path behind both the daemon's
-//! worker pool and the CLI's one-shot `copack plan`: it mirrors that
-//! command's non-package flow exactly (same methods, same default
-//! exchange configuration, same report lines, same assignment-file
-//! serialization), so a plan served from the daemon is byte-identical
-//! to one produced locally. The cache key ([`cache_key`]) hashes the
-//! *canonical* circuit text plus every spec field that influences the
-//! result — and nothing else, so cosmetic differences (file name,
-//! comments, row-order quirks) and execution-only knobs (timeouts)
-//! coalesce onto one entry.
+//! [`execute_job_full`] is the one planning flow behind the daemon's
+//! worker pool, `copack plan` (without `--package`) and the dirty branch
+//! of `copack replan`: DFA/IFA/random assignment, then optionally the
+//! IR-drop-aware exchange (plain, portfolio, or warm-started from a
+//! previous plan). All three build a [`JobSpec`] and print the report it
+//! returns, so a plan served from the daemon is byte-identical to one
+//! produced locally by construction. The cache key ([`cache_key`])
+//! hashes the *canonical* circuit text plus every spec field that
+//! influences the result — and nothing else, so cosmetic differences
+//! (file name, comments, row-order quirks) and execution-only knobs
+//! (timeouts) coalesce onto one entry.
 
 use copack_core::{
     assign, exchange_cancellable, exchange_portfolio_cancellable, exchange_warm, AssignMethod,
     CancelToken, CoreError, ExchangeConfig, PortfolioConfig, PortfolioMode,
 };
-use copack_geom::{Quadrant, StackConfig};
+use copack_geom::{Assignment, Quadrant, StackConfig};
 use copack_io::{
     canonical_portfolio_mode_params, canonical_portfolio_params, canonical_quadrant_text,
     classify_quadrant, fnv1a64, parse_assignment, write_assignment, TuneProfile,
 };
-use copack_obs::NoopRecorder;
-use copack_route::{analyze, DensityModel};
+use copack_obs::{Event, NoopRecorder, Recorder};
+use copack_route::{analyze, DensityModel, RoutingReport};
 use std::fmt::Write as _;
 
 use crate::error::{ErrorKind, ServeError};
@@ -125,12 +126,13 @@ pub struct JobSpec {
     /// (`CostWeights::margin`). Bits for the same reason as
     /// `prune_margin_bits`; zero (the default) leaves the term off.
     pub margin_bits: u64,
-    /// Whether to plan under the daemon's loaded tuning profile
-    /// (`copack serve --profile`). When set, the profile's tuned
-    /// configuration for the circuit's instance class replaces the
-    /// spec's schedule/weight/portfolio tunables (the seed and `psi`
-    /// stay the spec's), and the profile fingerprint plus class key
-    /// join the cache key so tuned and untuned results never collide.
+    /// Whether to plan under the loaded tuning profile (`copack serve
+    /// --profile`, or `plan`/`replan --profile`). When set, the
+    /// profile's tuned configuration for the circuit's instance class
+    /// replaces the spec's schedule/weight/portfolio tunables (the seed
+    /// and `psi` stay the spec's), and the profile fingerprint plus
+    /// class key join the cache key so tuned and untuned results never
+    /// collide.
     /// A daemon with no profile loaded rejects such jobs as bad
     /// requests, and so does any daemon when the job also sets one of
     /// the portfolio or margin tunables the profile replaces.
@@ -187,6 +189,39 @@ impl JobSpec {
         ]
         .into_iter()
         .find_map(|(field, set)| set.then_some(field))
+    }
+
+    /// The first tunable whose value no planner accepts, as its wire
+    /// name and what it expects instead: zero starts or kick size, a
+    /// negative or NaN prune margin or margin weight, or a ladder ratio
+    /// that is not a finite number of at least 1. Values are checked
+    /// whether or not the job would use them, so the CLI and the daemon
+    /// refuse the same values. `None` when every tunable is valid.
+    #[must_use]
+    pub fn invalid_tunable(&self) -> Option<(&'static str, &'static str)> {
+        let non_negative = |bits: u64| f64::from_bits(bits) >= 0.0;
+        let ladder = f64::from_bits(self.ladder_ratio_bits);
+        [
+            ("starts", "at least 1 start", self.starts >= 1),
+            (
+                "prune_margin_bits",
+                "a non-negative number",
+                non_negative(self.prune_margin_bits),
+            ),
+            ("kick_size", "at least 1 swap", self.kick_size >= 1),
+            (
+                "ladder_ratio_bits",
+                "a finite ratio >= 1.0",
+                ladder.is_finite() && ladder >= 1.0,
+            ),
+            (
+                "margin_bits",
+                "a non-negative number",
+                non_negative(self.margin_bits),
+            ),
+        ]
+        .into_iter()
+        .find_map(|(field, expects, valid)| (!valid).then_some((field, expects)))
     }
 }
 
@@ -285,43 +320,49 @@ pub fn cache_key_with(spec: &JobSpec, quadrant: &Quadrant, profile: Option<&Tune
     fnv1a64(material.as_bytes())
 }
 
-/// Runs one job to completion (or cancellation), mirroring
-/// `copack plan`'s non-package flow line for line.
+/// Runs one job to completion (or cancellation) as the daemon does:
+/// the portfolio anneals its starts on the calling thread, and nothing
+/// is recorded. perfbench's serve probe calls this form.
 ///
 /// # Errors
 ///
-/// [`ErrorKind::Timeout`] when `cancel` fires mid-run;
-/// [`ErrorKind::JobFailed`] when the planner itself rejects the
-/// instance (no legal assignment, invalid stack, ...).
+/// As [`execute_job_full`].
 pub fn execute_job(
     spec: &JobSpec,
     name: &str,
     quadrant: &Quadrant,
     cancel: &CancelToken,
 ) -> Result<JobOutput, ServeError> {
-    execute_job_full(spec, name, quadrant, cancel, None)
+    execute_job_full(spec, name, quadrant, cancel, None, 1, &mut NoopRecorder)
 }
 
-/// [`execute_job`] with the daemon-only extension: an optional loaded
-/// tuning profile, applied when the spec asks for it.
+/// Runs one job to completion (or cancellation).
+///
+/// `profile` is the loaded tuning profile, applied when the spec asks
+/// for it. `threads` caps the portfolio's worker threads (0 = available
+/// parallelism); the daemon passes 1, because its workers are already
+/// the pool's concurrency unit, and the result is identical for every
+/// count. `recorder` receives one `routing_evaluated` event per routing
+/// line of the report and every event of the exchange pass.
 ///
 /// # Errors
 ///
-/// As [`execute_job`].
+/// [`ErrorKind::Timeout`] when `cancel` fires mid-run;
+/// [`ErrorKind::BadRequest`] when `prev` is not an assignment file;
+/// [`ErrorKind::JobFailed`] when the planner itself rejects the
+/// instance (no legal assignment, invalid stack, ...).
 pub fn execute_job_full(
     spec: &JobSpec,
     name: &str,
     quadrant: &Quadrant,
     cancel: &CancelToken,
     profile: Option<&TuneProfile>,
+    threads: usize,
+    recorder: &mut dyn Recorder,
 ) -> Result<JobOutput, ServeError> {
-    let job_failed =
-        |e: &dyn std::fmt::Display| ServeError::new(ErrorKind::JobFailed, e.to_string());
-
     let mut assignment = assign(quadrant, spec.method).map_err(|e| job_failed(&e))?;
     let mut report = String::new();
-    let routing =
-        analyze(quadrant, &assignment, DensityModel::Geometric).map_err(|e| job_failed(&e))?;
+    let routing = route(quadrant, &assignment, recorder)?;
     let _ = writeln!(report, "{name}: {} -> {routing}", spec.method);
 
     if spec.exchange {
@@ -341,15 +382,10 @@ pub fn execute_job_full(
             ..ExchangeConfig::default()
         };
         config.weights.margin = f64::from_bits(spec.margin_bits);
-        // Worker threads are the pool's concurrency unit, so the
-        // portfolio (when widened below) anneals its starts serially
-        // inside this worker (`threads: 1`) instead of oversubscribing
-        // the host; the reduction is thread-count-invariant, so the
-        // result is identical either way.
         let mut portfolio = PortfolioConfig {
             starts: spec.starts,
             prune_margin: f64::from_bits(spec.prune_margin_bits),
-            threads: 1,
+            threads,
             mode: spec.mode,
             kick_size: spec.kick_size,
             ladder_ratio: f64::from_bits(spec.ladder_ratio_bits),
@@ -359,11 +395,9 @@ pub fn execute_job_full(
             if let Some(p) = profile {
                 // The tuned class configuration replaces the spec's
                 // schedule/weight/portfolio tunables wholesale; the
-                // seed and stacking stay the spec's, and the worker
-                // keeps its single-threaded portfolio.
+                // seed, the stacking and the thread count stay.
                 p.config_for(quadrant).apply(&mut config, &mut portfolio);
                 config.seed = spec.exchange_seed;
-                portfolio.threads = 1;
             }
         }
         let on_core_error = |e: CoreError| match e {
@@ -385,15 +419,8 @@ pub fn execute_job_full(
                     format!("previous assignment does not parse: {e}"),
                 )
             })?;
-            exchange_warm(
-                quadrant,
-                &previous,
-                &stack,
-                &config,
-                &mut NoopRecorder,
-                cancel,
-            )
-            .map_err(on_core_error)?
+            exchange_warm(quadrant, &previous, &stack, &config, recorder, cancel)
+                .map_err(on_core_error)?
         } else if portfolio.starts > 1 {
             let won = exchange_portfolio_cancellable(
                 quadrant,
@@ -401,7 +428,7 @@ pub fn execute_job_full(
                 &stack,
                 &config,
                 &portfolio,
-                &mut NoopRecorder,
+                recorder,
                 cancel,
             )
             .map_err(on_core_error)?;
@@ -415,19 +442,11 @@ pub fn execute_job_full(
             );
             won.result
         } else {
-            exchange_cancellable(
-                quadrant,
-                &assignment,
-                &stack,
-                &config,
-                &mut NoopRecorder,
-                cancel,
-            )
-            .map_err(on_core_error)?
+            exchange_cancellable(quadrant, &assignment, &stack, &config, recorder, cancel)
+                .map_err(on_core_error)?
         };
         assignment = result.assignment;
-        let routing =
-            analyze(quadrant, &assignment, DensityModel::Geometric).map_err(|e| job_failed(&e))?;
+        let routing = route(quadrant, &assignment, recorder)?;
         let verb = if spec.prev.is_some() {
             "replan"
         } else {
@@ -446,6 +465,26 @@ pub fn execute_job_full(
         report,
         assignment: write_assignment(name, &assignment),
     })
+}
+
+/// A planner error as a failed job.
+fn job_failed(e: &dyn std::fmt::Display) -> ServeError {
+    ServeError::new(ErrorKind::JobFailed, e.to_string())
+}
+
+/// Routes `assignment` for a report line and records the result.
+fn route(
+    quadrant: &Quadrant,
+    assignment: &Assignment,
+    recorder: &mut dyn Recorder,
+) -> Result<RoutingReport, ServeError> {
+    let routing =
+        analyze(quadrant, assignment, DensityModel::Geometric).map_err(|e| job_failed(&e))?;
+    recorder.record(&Event::RoutingEvaluated {
+        max_density: routing.max_density,
+        total_wirelength: routing.total_wirelength,
+    });
+    Ok(routing)
 }
 
 #[cfg(test)]
@@ -780,8 +819,16 @@ mod tests {
                 ..ClassConfig::default_config()
             },
         );
-        let run = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&profile))
-            .expect("tuned plan");
+        let run = execute_job_full(
+            &spec,
+            &name,
+            &q,
+            &CancelToken::new(),
+            Some(&profile),
+            1,
+            &mut NoopRecorder,
+        )
+        .expect("tuned plan");
         assert!(run.report.contains("portfolio K=2"), "{}", run.report);
         // An unknown class falls back to the built-in default class
         // config (which carries the default K=4 portfolio): same bytes
@@ -791,8 +838,16 @@ mod tests {
             space_fingerprint: 1,
             classes: Vec::new(),
         };
-        let fallback = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&empty))
-            .expect("fallback plan");
+        let fallback = execute_job_full(
+            &spec,
+            &name,
+            &q,
+            &CancelToken::new(),
+            Some(&empty),
+            1,
+            &mut NoopRecorder,
+        )
+        .expect("fallback plan");
         let plain_spec = JobSpec {
             profile: false,
             starts: PortfolioConfig::default().starts,

@@ -28,8 +28,9 @@
 //!
 //! Determinism is preserved across the service boundary: a plan served
 //! by the daemon is byte-identical to `copack plan` run locally on the
-//! same inputs, because both sides share one executor ([`execute_job`])
-//! and the annealer's RNG stream is untouched by cancellation polling.
+//! same inputs, because both sides share one executor
+//! ([`execute_job_full`]) and the annealer's RNG stream is untouched by
+//! cancellation polling.
 //!
 //! ```no_run
 //! use copack_serve::{Client, JobSpec, ServeConfig, Server};

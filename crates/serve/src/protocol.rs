@@ -311,14 +311,7 @@ fn decode_job_fields(json: &Json) -> Result<JobSpec, ServeError> {
     }
     if let Some(starts) = field_u64("starts")? {
         spec.starts = u32::try_from(starts)
-            .ok()
-            .filter(|s| *s >= 1)
-            .ok_or_else(|| {
-                ServeError::new(
-                    ErrorKind::BadRequest,
-                    "`starts` must be between 1 and 4294967295",
-                )
-            })?;
+            .map_err(|_| ServeError::new(ErrorKind::BadRequest, "`starts` is out of range"))?;
     }
     if let Some(bits) = field_u64("prune_margin_bits")? {
         spec.prune_margin_bits = bits;
@@ -339,14 +332,7 @@ fn decode_job_fields(json: &Json) -> Result<JobSpec, ServeError> {
     }
     if let Some(kick) = field_u64("kick_size")? {
         spec.kick_size = u32::try_from(kick)
-            .ok()
-            .filter(|k| *k >= 1)
-            .ok_or_else(|| {
-                ServeError::new(
-                    ErrorKind::BadRequest,
-                    "`kick_size` must be between 1 and 4294967295",
-                )
-            })?;
+            .map_err(|_| ServeError::new(ErrorKind::BadRequest, "`kick_size` is out of range"))?;
     }
     if let Some(bits) = field_u64("ladder_ratio_bits")? {
         spec.ladder_ratio_bits = bits;
@@ -374,6 +360,12 @@ fn decode_job_fields(json: &Json) -> Result<JobSpec, ServeError> {
     }
     spec.timeout_ms = field_u64("timeout_ms")?;
     spec.class = decode_class(json)?;
+    if let Some((field, expects)) = spec.invalid_tunable() {
+        return Err(ServeError::new(
+            ErrorKind::BadRequest,
+            format!("`{field}` expects {expects}"),
+        ));
+    }
     Ok(spec)
 }
 

@@ -34,7 +34,7 @@
 use copack_core::CancelToken;
 use copack_geom::Quadrant;
 use copack_io::{parse_quadrant, TuneProfile};
-use copack_obs::{Event, Recorder as _, TraceBuffer};
+use copack_obs::{Event, NoopRecorder, Recorder as _, TraceBuffer};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -440,12 +440,16 @@ impl Inner {
                 Some(deadline) => CancelToken::with_deadline(deadline),
                 None => CancelToken::new(),
             };
+            // Workers are the pool's concurrency unit, so a portfolio
+            // anneals its starts on this worker's thread.
             let result = execute_job_full(
                 &job.spec,
                 &job.name,
                 &job.quadrant,
                 &cancel,
                 self.profile.as_ref(),
+                1,
+                &mut NoopRecorder,
             );
             if result.is_ok() && job.spec.exchange && job.spec.prev.is_some() {
                 self.record_event(&Event::QuadrantWarmed {

@@ -74,6 +74,43 @@ fn bad_requests_are_distinguished_from_bad_frames() {
         .expect("a response");
     assert_error_frame(&line, ErrorKind::BadRequest);
 
+    // Tunable values no planner accepts are refused as they decode,
+    // before a cache key or a queue slot.
+    let multi = JobSpec {
+        exchange: true,
+        starts: 2,
+        ..JobSpec::new(circuit_text(1))
+    };
+    for (field, spec) in [
+        (
+            "prune_margin_bits",
+            JobSpec {
+                prune_margin_bits: f64::NAN.to_bits(),
+                ..multi.clone()
+            },
+        ),
+        (
+            "ladder_ratio_bits",
+            JobSpec {
+                mode: copack_core::PortfolioMode::Temper,
+                ladder_ratio_bits: 0.5f64.to_bits(),
+                ..multi.clone()
+            },
+        ),
+        (
+            "margin_bits",
+            JobSpec {
+                margin_bits: (-1.0f64).to_bits(),
+                ..multi.clone()
+            },
+        ),
+    ] {
+        let frame = encode_request(&Request::Plan(spec)) + "\n";
+        let line = client.raw(frame.as_bytes()).expect("a response");
+        assert_error_frame(&line, ErrorKind::BadRequest);
+        assert!(line.contains(&format!("`{field}`")), "{line}");
+    }
+
     let summary = server.shutdown_and_join();
     // The unparsable circuit was counted but nothing ever executed.
     assert_eq!(summary.status.submitted, 1);

@@ -29,21 +29,21 @@ use std::io::BufWriter;
 use std::path::Path;
 
 use copack_core::{
-    apply_delta, assign, exchange, exchange_portfolio_traced, exchange_traced, exchange_warm,
-    plan_package, plan_package_traced, AssignMethod, CancelToken, Codesign, CostWeights,
-    ExchangeConfig, PortfolioConfig, PortfolioMode,
+    apply_delta, plan_package, plan_package_traced, AssignMethod, CancelToken, Codesign,
+    PortfolioMode,
 };
 use copack_gen::circuit;
-use copack_geom::{Package, StackConfig};
+use copack_geom::{Assignment, Package, Quadrant, StackConfig};
 use copack_io::{
-    classify_quadrant, parse_assignment, parse_delta, parse_quadrant, parse_tune, write_assignment,
-    write_quadrant, write_tune, TuneProfile,
+    classify_quadrant, parse_assignment, parse_delta, parse_quadrant, parse_tune, write_quadrant,
+    write_tune, TuneProfile,
 };
 use copack_obs::{Event, JsonlSink, NoopRecorder, Recorder, TraceBuffer, TraceSummary};
 use copack_power::GridSpec;
 use copack_route::{analyze, balanced_density_map, DensityModel};
 use copack_serve::{
-    pool_metrics_text, Client, JobClass, JobSpec, PlanResponse, ServeConfig, Server,
+    execute_job_full, pool_metrics_text, Client, JobClass, JobSpec, PlanResponse, ServeConfig,
+    Server,
 };
 use copack_tune::{tune, TrialSpace, TuneOptions};
 use copack_viz::{density_histogram, routing_ascii, routing_svg, trace_sparklines};
@@ -90,10 +90,13 @@ USAGE:
       term to the exchange cost (0, the default, leaves it off).
       --profile loads a `copack tune` profile and plans the exchange
       under the tuned configuration for the circuit's instance class
-      (unknown classes fall back to the defaults); explicitly-given
-      flags (--starts, --prune-margin, --portfolio-mode, --kick-size,
-      --ladder-ratio, --margin-weight, --xseed) still win over the
-      profile.
+      (unknown classes fall back to the defaults), as `submit
+      --use-profile` does on a daemon serving that profile. The profile
+      sets the portfolio and margin knobs, so --profile refuses
+      --starts, --prune-margin, --portfolio-mode, --kick-size,
+      --ladder-ratio and --margin-weight; --xseed and --psi still apply.
+      The report is the one `submit` prints for the same flags, plus a
+      `tuned profile applied` line.
 
   copack replan <circuit-file> --prev ASSIGNMENT --delta EDITS
                 [--psi N] [--xseed N] [--margin-weight F]
@@ -109,8 +112,10 @@ USAGE:
       the previous assignment onto the edited netlist, and re-anneals
       from that warm start; the result lands in the same feasibility
       class as a from-scratch plan, with its cost inside the
-      `replan_vs_scratch` oracle's band. --profile applies a tuned
-      configuration, as in plan.
+      `replan_vs_scratch` oracle's band. After its dirty-count line a
+      dirty replan prints the report `submit --exchange --prev`
+      returns for the edited circuit. --profile applies a tuned
+      configuration and refuses the flags it replaces, as in plan.
 
   copack route <circuit-file> <assignment-file> [--svg FILE]
       Check legality and print density/wirelength analysis.
@@ -392,34 +397,16 @@ impl Telemetry {
     }
 }
 
-fn load_quadrant(path: &str) -> Result<(String, copack_geom::Quadrant), String> {
+fn load_quadrant(path: &str) -> Result<(String, Quadrant), String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse_quadrant(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_assignment(path: &str) -> Result<copack_geom::Assignment, String> {
+fn load_assignment(path: &str) -> Result<Assignment, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     Ok(parse_assignment(&text)
         .map_err(|e| format!("{path}: {e}"))?
         .1)
-}
-
-/// Builds the exchange configuration shared by `plan`, `replan` and
-/// `submit`: defaults plus the `--xseed` seed and the `--margin-weight`
-/// net-separation term (zero, the default, leaves the term off).
-fn exchange_config(opts: &Options) -> Result<ExchangeConfig, String> {
-    let margin: f64 = opts.num("margin-weight", 0.0)?;
-    if margin.is_nan() || margin < 0.0 {
-        return Err("--margin-weight expects a non-negative number".to_owned());
-    }
-    Ok(ExchangeConfig {
-        seed: opts.num("xseed", ExchangeConfig::default().seed)?,
-        weights: CostWeights {
-            margin,
-            ..CostWeights::default()
-        },
-        ..ExchangeConfig::default()
-    })
 }
 
 /// Parses `--psi` (default 1, planar) into the stack configuration every
@@ -433,104 +420,72 @@ fn stack_config(opts: &Options) -> Result<StackConfig, String> {
     }
 }
 
-/// The planning flags `plan`, `submit` and `batch` share, parsed and
-/// validated in one place so that every verb rejects a bad value with
-/// the same message.
-struct PlanningFlags {
-    /// `--method`, `--seed` (random) and `--slack` (dfa).
-    method: AssignMethod,
-    /// `--psi`.
-    stack: StackConfig,
-    /// `--xseed` and `--margin-weight`.
-    exchange: ExchangeConfig,
-    /// `--starts`, `--prune-margin`, `--portfolio-mode`, `--kick-size`
-    /// and `--ladder-ratio`; the worker threads stay at their default.
-    portfolio: PortfolioConfig,
-}
+/// The tunables a tuning profile replaces, as (flag, [`JobSpec`] field
+/// name): a profile job refuses the flags, and a value no planner
+/// accepts is reported under its flag.
+const PROFILE_TUNABLES: [(&str, &str); 6] = [
+    ("starts", "starts"),
+    ("prune-margin", "prune_margin_bits"),
+    ("portfolio-mode", "mode"),
+    ("kick-size", "kick_size"),
+    ("ladder-ratio", "ladder_ratio_bits"),
+    ("margin-weight", "margin_bits"),
+];
 
-impl PlanningFlags {
-    fn parse(opts: &Options) -> Result<Self, String> {
-        let seed = opts.num("seed", 42u64)?;
-        let slack = opts.num("slack", 1u32)?;
-        let method = match opts.value("method").unwrap_or("dfa") {
+/// Builds a job spec, without its circuit, from the planning flags
+/// `plan`, `replan`, `submit` and `batch` share: `--method`, `--seed`,
+/// `--slack`, `--exchange`, `--psi`, `--xseed`, the portfolio flags and
+/// `--margin-weight`. Every verb therefore rejects a bad value with the
+/// same message. `profile_flag` is the verb's profile switch: when it is
+/// given, the job plans under the tuning profile and refuses the flags
+/// the profile replaces.
+fn job_spec_from_options(opts: &Options, profile_flag: &str) -> Result<JobSpec, String> {
+    let default = JobSpec::new("");
+    let seed = opts.num("seed", 42u64)?;
+    let slack = opts.num("slack", 1u32)?;
+    let spec = JobSpec {
+        method: match opts.value("method").unwrap_or("dfa") {
             "dfa" => AssignMethod::Dfa { slack },
             "ifa" => AssignMethod::Ifa,
             "random" => AssignMethod::Random { seed },
             other => return Err(format!("unknown method `{other}` (dfa|ifa|random)")),
-        };
-        // The portfolio checks mirror `PortfolioConfig::is_valid`, so a
-        // bad flag fails here with a readable message, not a core error.
-        let starts = opts.num("starts", 1u32)?;
-        if starts == 0 {
-            return Err("--starts expects at least 1 start".to_owned());
-        }
-        let prune_margin: f64 =
-            opts.num("prune-margin", PortfolioConfig::default().prune_margin)?;
-        if prune_margin.is_nan() || prune_margin < 0.0 {
-            return Err("--prune-margin expects a non-negative number".to_owned());
-        }
-        let mode = match opts.value("portfolio-mode") {
-            None => PortfolioMode::Race,
+        },
+        exchange: opts.flag("exchange").is_some(),
+        starts: opts.num("starts", default.starts)?,
+        prune_margin_bits: opts
+            .num("prune-margin", f64::from_bits(default.prune_margin_bits))?
+            .to_bits(),
+        mode: match opts.value("portfolio-mode") {
+            None => default.mode,
             Some(tag) => PortfolioMode::parse(tag)
                 .ok_or_else(|| format!("unknown portfolio mode `{tag}` (race|coop|temper)"))?,
-        };
-        let kick_size = opts.num("kick-size", PortfolioConfig::default().kick_size)?;
-        if kick_size == 0 {
-            return Err("--kick-size expects at least 1 swap".to_owned());
-        }
-        let ladder_ratio: f64 =
-            opts.num("ladder-ratio", PortfolioConfig::default().ladder_ratio)?;
-        if !ladder_ratio.is_finite() || ladder_ratio < 1.0 {
-            return Err("--ladder-ratio expects a finite ratio >= 1.0".to_owned());
-        }
-        Ok(Self {
-            method,
-            stack: stack_config(opts)?,
-            exchange: exchange_config(opts)?,
-            portfolio: PortfolioConfig {
-                starts,
-                prune_margin,
-                mode,
-                kick_size,
-                ladder_ratio,
-                ..PortfolioConfig::default()
-            },
-        })
+        },
+        kick_size: opts.num("kick-size", default.kick_size)?,
+        ladder_ratio_bits: opts
+            .num("ladder-ratio", f64::from_bits(default.ladder_ratio_bits))?
+            .to_bits(),
+        psi: stack_config(opts)?.tiers,
+        margin_bits: opts.num("margin-weight", 0.0f64)?.to_bits(),
+        exchange_seed: opts.num("xseed", default.exchange_seed)?,
+        profile: opts.flag(profile_flag).is_some(),
+        ..default
+    };
+    if let Some((field, expects)) = spec.invalid_tunable() {
+        let (flag, _) = PROFILE_TUNABLES
+            .iter()
+            .find(|(_, name)| *name == field)
+            .expect("every checked tunable has a flag");
+        return Err(format!("--{flag} expects {expects}"));
     }
-}
-
-/// Applies a tuned profile's configuration for `quadrant` over the
-/// flags' `config` and `portfolio`: it replaces the schedule, weights and
-/// portfolio shape (never the seed or the worker threads), and every flag
-/// given explicitly still wins over it.
-fn apply_profile(
-    profile: &TuneProfile,
-    quadrant: &copack_geom::Quadrant,
-    opts: &Options,
-    config: &mut ExchangeConfig,
-    portfolio: &mut PortfolioConfig,
-) {
-    let (flag_margin, flags) = (config.weights.margin, portfolio.clone());
-    profile.config_for(quadrant).apply(config, portfolio);
-    let given = |name: &str| opts.value(name).is_some();
-    if given("starts") {
-        portfolio.starts = flags.starts;
+    if let Some((flag, _)) = PROFILE_TUNABLES
+        .iter()
+        .find(|(flag, _)| spec.profile && opts.value(flag).is_some())
+    {
+        return Err(format!(
+            "--{flag} cannot be combined with --{profile_flag}: the tuning profile sets it"
+        ));
     }
-    if given("prune-margin") {
-        portfolio.prune_margin = flags.prune_margin;
-    }
-    if given("portfolio-mode") {
-        portfolio.mode = flags.mode;
-    }
-    if given("kick-size") {
-        portfolio.kick_size = flags.kick_size;
-    }
-    if given("ladder-ratio") {
-        portfolio.ladder_ratio = flags.ladder_ratio;
-    }
-    if given("margin-weight") {
-        config.weights.margin = flag_margin;
-    }
+    Ok(spec)
 }
 
 /// Loads `--profile` (a `copack tune` output file), or `None` when the
@@ -609,18 +564,17 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
     let (name, quadrant) = load_quadrant(path)?;
     let mut telemetry = Telemetry::from_options(&opts)?;
 
-    let flags = PlanningFlags::parse(&opts)?;
-    let method = flags.method;
+    let spec = job_spec_from_options(&opts, "profile")?;
     let profile = load_profile(&opts)?;
-    if profile.is_some() && (opts.flag("exchange").is_none() || opts.flag("package").is_some()) {
+    if profile.is_some() && (!spec.exchange || opts.flag("package").is_some()) {
         return Err("--profile tunes the exchange pass: it requires --exchange and does not apply to --package".to_owned());
     }
 
     if opts.flag("package").is_some() {
         let threads = opts.num("threads", 0usize)?;
         let config = Codesign {
-            method,
-            stack: flags.stack,
+            method: spec.method,
+            stack: stack_config(&opts)?,
             threads,
             ..Codesign::default()
         };
@@ -631,7 +585,7 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
         }
         .map_err(|e| e.to_string())?;
         let mut out = String::new();
-        let _ = writeln!(out, "{name}: package plan ({method})");
+        let _ = writeln!(out, "{name}: package plan ({})", spec.method);
         for (i, r) in report.routing.iter().enumerate() {
             let _ = writeln!(out, "  side {i}: {r}");
         }
@@ -657,94 +611,39 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
         return Ok(out);
     }
 
-    let mut assignment = assign(&quadrant, method).map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    let report =
-        analyze(&quadrant, &assignment, DensityModel::Geometric).map_err(|e| e.to_string())?;
-    if let Some(t) = telemetry.as_mut() {
-        t.buffer.record(&Event::RoutingEvaluated {
-            max_density: report.max_density,
-            total_wirelength: report.total_wirelength,
-        });
-    }
-    let _ = writeln!(out, "{name}: {method} -> {report}");
-
-    if opts.flag("exchange").is_some() {
-        let stack = flags.stack;
-        let mut xconfig = flags.exchange;
-        let mut portfolio = PortfolioConfig {
-            threads: opts.num("threads", 0usize)?,
-            ..flags.portfolio
-        };
-        if let Some(p) = &profile {
-            apply_profile(p, &quadrant, &opts, &mut xconfig, &mut portfolio);
-            let _ = writeln!(
-                out,
-                "{name}: tuned profile applied (class {})",
-                classify_quadrant(&quadrant)
-            );
-        }
-        let starts = portfolio.starts;
-        let result = if starts > 1 {
-            let won = match telemetry.as_mut() {
-                Some(t) => exchange_portfolio_traced(
-                    &quadrant,
-                    &assignment,
-                    &stack,
-                    &xconfig,
-                    &portfolio,
-                    &mut t.buffer,
-                ),
-                None => exchange_portfolio_traced(
-                    &quadrant,
-                    &assignment,
-                    &stack,
-                    &xconfig,
-                    &portfolio,
-                    &mut NoopRecorder,
-                ),
-            }
-            .map_err(|e| e.to_string())?;
-            // Same line the daemon's executor prints, so served reports
-            // stay byte-identical to local ones.
-            let _ = writeln!(
-                out,
-                "{name}: portfolio K={starts} winner start {} seed {} pruned {}",
-                won.winner_start,
-                won.winner_seed,
-                won.pruned()
-            );
-            won.result
-        } else {
-            match telemetry.as_mut() {
-                Some(t) => exchange_traced(&quadrant, &assignment, &stack, &xconfig, &mut t.buffer),
-                None => exchange(&quadrant, &assignment, &stack, &xconfig),
-            }
-            .map_err(|e| e.to_string())?
-        };
-        assignment = result.assignment;
-        let report =
-            analyze(&quadrant, &assignment, DensityModel::Geometric).map_err(|e| e.to_string())?;
-        if let Some(t) = telemetry.as_mut() {
-            t.buffer.record(&Event::RoutingEvaluated {
-                max_density: report.max_density,
-                total_wirelength: report.total_wirelength,
-            });
-        }
-        let _ = writeln!(
-            out,
-            "{name}: after exchange (cost {:.4} -> {:.4}) -> {report}",
-            result.stats.initial_cost, result.stats.final_cost
+    // `--threads` only sizes the exchange's portfolio (the plan is the
+    // same for every count), so it is read only when there is one.
+    let threads = if spec.exchange {
+        opts.num("threads", 0usize)?
+    } else {
+        0
+    };
+    let mut noop = NoopRecorder;
+    let recorder: &mut dyn Recorder = match telemetry.as_mut() {
+        Some(t) => &mut t.buffer,
+        None => &mut noop,
+    };
+    let job = execute_job_full(
+        &spec,
+        &name,
+        &quadrant,
+        &CancelToken::new(),
+        profile.as_ref(),
+        threads,
+        recorder,
+    )
+    .map_err(|e| e.message)?;
+    let mut out = job.report;
+    if profile.is_some() {
+        let tuned = format!(
+            "{name}: tuned profile applied (class {})\n",
+            classify_quadrant(&quadrant)
         );
+        out.insert_str(out.find('\n').map_or(0, |i| i + 1), &tuned);
     }
-
-    let _ = writeln!(out, "order: {assignment}");
-    maybe_write(
-        opts.value("out"),
-        &write_assignment(&name, &assignment),
-        &mut out,
-    )?;
+    maybe_write(opts.value("out"), &job.assignment, &mut out)?;
     if let Some(svg_path) = opts.value("svg") {
+        let assignment = planned_assignment(&quadrant, &job.assignment)?;
         let svg = routing_svg(&quadrant, &assignment).map_err(|e| e.to_string())?;
         maybe_write(Some(svg_path), &svg, &mut out)?;
     }
@@ -752,6 +651,17 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
         t.finish(&mut out);
     }
     Ok(out)
+}
+
+/// The plan an assignment file written for `quadrant` records, over all
+/// of the quadrant's fingers (a sparse file omits trailing spare ones).
+fn planned_assignment(quadrant: &Quadrant, text: &str) -> Result<Assignment, String> {
+    let (_, parsed) = parse_assignment(text).map_err(|e| e.to_string())?;
+    let mut assignment = Assignment::empty(quadrant.finger_count());
+    for (finger, net) in parsed.iter() {
+        assignment.place(net, finger).map_err(|e| e.to_string())?;
+    }
+    Ok(assignment)
 }
 
 fn cmd_replan(args: &[String]) -> Result<String, String> {
@@ -815,24 +725,21 @@ fn cmd_replan(args: &[String]) -> Result<String, String> {
         .get(&name)
         .expect("a dirty instance lists this quadrant");
     let edited = apply_delta(&base, quadrant_delta).map_err(|e| format!("{delta_path}: {e}"))?;
-    let stack = stack_config(&opts)?;
-    let mut config = exchange_config(&opts)?;
-    if let Some(p) = &profile {
-        // The warm path is single-start, so only the tuned schedule and
-        // weights matter.
-        apply_profile(
-            p,
-            &edited,
-            &opts,
-            &mut config,
-            &mut PortfolioConfig::default(),
-        );
+    // The job `submit --prev` sends for the edited circuit: a warm
+    // start, so the portfolio flags do not apply.
+    let spec = JobSpec {
+        exchange: true,
+        prev: Some(prev_text),
+        ..job_spec_from_options(&opts, "profile")?
+    };
+    if profile.is_some() {
         let _ = writeln!(
             out,
             "{name}: tuned profile applied (class {})",
             classify_quadrant(&edited)
         );
     }
+    let _ = writeln!(out, "{name}: replan 1/1 quadrants dirty");
     if let Some(t) = telemetry.as_mut() {
         t.buffer.record(&Event::ReplanStart {
             quadrants: 1,
@@ -844,38 +751,18 @@ fn cmd_replan(args: &[String]) -> Result<String, String> {
         Some(t) => &mut t.buffer,
         None => &mut noop,
     };
-    let result = exchange_warm(
+    let job = execute_job_full(
+        &spec,
+        &name,
         &edited,
-        &previous,
-        &stack,
-        &config,
-        recorder,
         &CancelToken::new(),
+        profile.as_ref(),
+        1,
+        recorder,
     )
-    .map_err(|e| e.to_string())?;
-    let assignment = result.assignment;
-    let report =
-        analyze(&edited, &assignment, DensityModel::Geometric).map_err(|e| e.to_string())?;
-    if let Some(t) = telemetry.as_mut() {
-        t.buffer.record(&Event::RoutingEvaluated {
-            max_density: report.max_density,
-            total_wirelength: report.total_wirelength,
-        });
-    }
-    // Same verb line the daemon's replan executor prints, so served
-    // replans stay byte-identical to local ones.
-    let _ = writeln!(out, "{name}: replan 1/1 quadrants dirty");
-    let _ = writeln!(
-        out,
-        "{name}: after replan (cost {:.4} -> {:.4}) -> {report}",
-        result.stats.initial_cost, result.stats.final_cost
-    );
-    let _ = writeln!(out, "order: {assignment}");
-    maybe_write(
-        opts.value("out"),
-        &write_assignment(&name, &assignment),
-        &mut out,
-    )?;
+    .map_err(|e| e.message)?;
+    out.push_str(&job.report);
+    maybe_write(opts.value("out"), &job.assignment, &mut out)?;
     if let Some(t) = telemetry {
         t.finish(&mut out);
     }
@@ -1064,7 +951,7 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
 fn cmd_tune(args: &[String]) -> Result<String, String> {
     let opts = parse_options(args)?;
     let stack = stack_config(&opts)?;
-    let mut instances: Vec<(String, copack_geom::Quadrant, StackConfig)> = Vec::new();
+    let mut instances: Vec<(String, Quadrant, StackConfig)> = Vec::new();
     if opts.positional.is_empty() {
         // The built-in tuning family: Table 1 plus stacked and deep-row
         // variants, chosen to cover the instance classes the other
@@ -1118,27 +1005,11 @@ fn cmd_tune(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Builds a daemon job spec, without its circuit, from `submit`/`batch`'s
-/// flags: the planning flags `plan` reads plus `--prev`, `--use-profile`,
-/// `--timeout-ms` and `--class`.
-fn job_spec_from_options(opts: &Options) -> Result<JobSpec, String> {
-    let flags = PlanningFlags::parse(opts)?;
-    let profile = opts.flag("use-profile").is_some();
-    // The daemon's profile replaces these wholesale, so a value given
-    // with --use-profile would be dropped while still splitting the key.
-    let replaced = [
-        "starts",
-        "prune-margin",
-        "portfolio-mode",
-        "kick-size",
-        "ladder-ratio",
-        "margin-weight",
-    ];
-    if let Some(flag) = replaced.iter().find(|f| profile && opts.value(f).is_some()) {
-        return Err(format!(
-            "--{flag} cannot be combined with --use-profile: the daemon's tuning profile sets it"
-        ));
-    }
+/// The job `submit` and `batch` send, without its circuit: the shared
+/// planning flags with `--use-profile`, plus `--timeout-ms`, `--prev`
+/// and `--class`.
+fn served_job_spec(opts: &Options) -> Result<JobSpec, String> {
+    let spec = job_spec_from_options(opts, "use-profile")?;
     let timeout_ms = match opts.value("timeout-ms") {
         None => None,
         Some(v) => Some(
@@ -1151,21 +1022,10 @@ fn job_spec_from_options(opts: &Options) -> Result<JobSpec, String> {
         Some(p) => Some(fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?),
     };
     Ok(JobSpec {
-        circuit: String::new(),
-        method: flags.method,
-        exchange: opts.flag("exchange").is_some(),
-        psi: flags.stack.tiers,
-        exchange_seed: flags.exchange.seed,
-        starts: flags.portfolio.starts,
-        prune_margin_bits: flags.portfolio.prune_margin.to_bits(),
-        mode: flags.portfolio.mode,
-        kick_size: flags.portfolio.kick_size,
-        ladder_ratio_bits: flags.portfolio.ladder_ratio.to_bits(),
         prev,
-        margin_bits: flags.exchange.weights.margin.to_bits(),
-        profile,
         timeout_ms,
         class: job_class_from_options(opts)?,
+        ..spec
     })
 }
 
@@ -1263,7 +1123,7 @@ fn cmd_submit(args: &[String]) -> Result<String, String> {
     let circuit = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let spec = JobSpec {
         circuit,
-        ..job_spec_from_options(&opts)?
+        ..served_job_spec(&opts)?
     };
     let (_, mut client) = connect_daemon(&opts)?;
     let plan = client.plan(&spec).map_err(|e| format!("{path}: {e}"))?;
@@ -1295,7 +1155,7 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
     // frames back in completion order (tagged with each job's
     // submission index) and closes with a summary frame. --stream
     // prints a live line per arriving item before the final table.
-    let template = job_spec_from_options(&opts)?;
+    let template = served_job_spec(&opts)?;
     let class = template.class;
     let stream = opts.flag("stream").is_some();
     let mut rows: Vec<(String, Result<PlanResponse, String>)> = files
@@ -1508,9 +1368,20 @@ mod tests {
     #[test]
     fn submit_refuses_the_flags_a_profile_replaces() {
         let dir = TestDir::new("profile_flags");
-        let circuit = dir.path("c.copack");
-        fs::write(&circuit, run(&s(&["gen", "1"])).unwrap()).unwrap();
-        let circuit = circuit.to_str().unwrap();
+        let (circuit, prev, _) = plan_previous(&dir);
+        let (circuit, prev) = (circuit.to_str().unwrap(), prev.to_str().unwrap());
+        let profile = dir.path("empty.tune");
+        let empty = TuneProfile {
+            seed: 1,
+            space_fingerprint: 1,
+            classes: Vec::new(),
+        };
+        fs::write(&profile, write_tune(&empty)).unwrap();
+        let profile = profile.to_str().unwrap();
+        let edits = dir.path("eco.edits");
+        fs::write(&edits, "delta eco\nquadrant circuit1\nremove 4\n").unwrap();
+        let edits = edits.to_str().unwrap();
+        let jobs = dir.0.to_str().unwrap();
         for (flag, value) in [
             ("--starts", "8"),
             ("--prune-margin", "0.5"),
@@ -1519,16 +1390,31 @@ mod tests {
             ("--ladder-ratio", "3.0"),
             ("--margin-weight", "0.5"),
         ] {
-            for verb in ["submit", "batch"] {
-                let path = if verb == "submit" {
-                    circuit
-                } else {
-                    dir.0.to_str().unwrap()
-                };
-                let err = run(&s(&[verb, path, "--use-profile", flag, value])).unwrap_err();
+            for (args, switch) in [
+                (vec!["submit", circuit, "--use-profile"], "--use-profile"),
+                (vec!["batch", jobs, "--use-profile"], "--use-profile"),
+                (
+                    vec!["plan", circuit, "--exchange", "--profile", profile],
+                    "--profile",
+                ),
+                (
+                    vec![
+                        "replan",
+                        circuit,
+                        "--prev",
+                        prev,
+                        "--delta",
+                        edits,
+                        "--profile",
+                        profile,
+                    ],
+                    "--profile",
+                ),
+            ] {
+                let err = run(&s(&[&args[..], &[flag, value]].concat())).unwrap_err();
                 assert!(
-                    err.contains(&format!("{flag} cannot be combined with --use-profile")),
-                    "{verb} {flag}: {err}"
+                    err.contains(&format!("{flag} cannot be combined with {switch}")),
+                    "{args:?} {flag}: {err}"
                 );
             }
         }

@@ -6,13 +6,18 @@
 //! with a `.seed` sidecar recording how it was found and how to re-check
 //! it. Running the full real-oracle suite over all of them on every test
 //! run makes each reproducer a permanent regression guard: the bug class
-//! it witnessed can never silently return.
+//! it witnessed can never silently return. A replan reproducer also
+//! carries the shrunk ECO as a `.edits` file; that exact delta is
+//! replayed through the `replan_vs_scratch` check as well, since the
+//! suite's own replan oracle derives a different churn delta.
 
 use std::fs;
 use std::path::PathBuf;
 
 use copack::obs::NoopRecorder;
-use copack::verify::{check_quadrant, read_sidecar, VerifyConfig, ORACLE_NAMES};
+use copack::verify::{
+    check_quadrant, check_replan_with_delta, read_sidecar, VerifyConfig, ORACLE_NAMES,
+};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -58,7 +63,18 @@ fn every_reproducer_passes_all_real_oracles() {
         );
         let mut config = VerifyConfig::quick(sidecar.tiers);
         config.exchange_seed = sidecar.exchange_seed;
-        for report in check_quadrant(&quadrant, &config, &mut NoopRecorder) {
+        let mut reports = check_quadrant(&quadrant, &config, &mut NoopRecorder);
+        let edits = circuit.with_extension("edits");
+        if edits.exists() {
+            let text = fs::read_to_string(&edits).unwrap();
+            let (_, delta) = copack::io::parse_delta(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", edits.display()));
+            let delta = delta
+                .get(&name)
+                .unwrap_or_else(|| panic!("{}: no section for `{name}`", edits.display()));
+            reports.push(check_replan_with_delta(&quadrant, delta, &config));
+        }
+        for report in reports {
             assert!(
                 report.passed,
                 "{name}: oracle {} regressed: {}",

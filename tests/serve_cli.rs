@@ -124,6 +124,100 @@ fn served_plans_are_byte_identical_to_local_plans_and_repeat_as_cache_hits() {
     // --metrics renders the pool block.
     assert!(summary.contains("hit-rate"), "summary: {summary}");
     assert!(summary.contains("latency p50"), "summary: {summary}");
+
+    // Across the planning flags, on a second daemon: `plan` prints the
+    // report `submit` returns, line for line, and writes the same order.
+    let (addr, daemon) = start_daemon(&dir, "flags", &["--workers", "2"]);
+    let flag_sets: [&[&str]; 7] = [
+        &["--method", "ifa"],
+        &["--method", "random"],
+        &["--psi", "4"],
+        &["--starts", "4", "--portfolio-mode", "race"],
+        &["--starts", "4", "--portfolio-mode", "coop"],
+        &["--starts", "4", "--portfolio-mode", "temper"],
+        &["--margin-weight", "0.5"],
+    ];
+    for flags in flag_sets {
+        let (local_order, served_order) = (dir.path("local.order"), dir.path("served.order"));
+        let with = |verb: &str, order: &str, extra: &[&str]| {
+            let mut args = s(&[verb, &circuit, "--exchange", "--out", order]);
+            args.extend(s(flags));
+            args.extend(s(extra));
+            cli::run(&args).unwrap_or_else(|e| panic!("{verb} {flags:?}: {e}"))
+        };
+        let local = with("plan", &local_order, &[]);
+        let served = with("submit", &served_order, &["--addr", &addr]);
+        assert_eq!(
+            report_lines(&local),
+            report_lines(&served),
+            "{flags:?}: {local} vs {served}"
+        );
+        assert_eq!(
+            fs::read(&local_order).unwrap(),
+            fs::read(&served_order).unwrap(),
+            "{flags:?}"
+        );
+    }
+
+    // A dirty `replan` prints, after its dirty-count line, the report
+    // `submit --prev` returns for the edited circuit.
+    let prev = dir.path("prev.order");
+    cli::run(&s(&["plan", &circuit, "--exchange", "--out", &prev])).expect("previous plan");
+    let (_, base) = copack::io::parse_quadrant(&fs::read_to_string(&circuit).unwrap()).unwrap();
+    let edited = copack::gen::churn(&base, 7, copack::gen::STANDARD_CHURN).unwrap();
+    let delta = copack::core::InstanceDelta {
+        quadrants: vec![(
+            "circuit1".to_owned(),
+            copack::core::diff_quadrant(&base, &edited),
+        )],
+    };
+    let (edits, edited_circuit) = (dir.path("eco.edits"), dir.path("edited.copack"));
+    fs::write(&edits, copack::io::write_delta("circuit1", &delta)).unwrap();
+    fs::write(
+        &edited_circuit,
+        copack::io::write_quadrant("circuit1", &edited),
+    )
+    .unwrap();
+    let (replanned, served_order) = (dir.path("replanned.order"), dir.path("served.order"));
+    let replan = cli::run(&s(&[
+        "replan", &circuit, "--prev", &prev, "--delta", &edits, "--out", &replanned,
+    ]))
+    .expect("replan");
+    let served = cli::run(&s(&[
+        "submit",
+        &edited_circuit,
+        "--exchange",
+        "--prev",
+        &prev,
+        "--addr",
+        &addr,
+        "--out",
+        &served_order,
+    ]))
+    .expect("submit --prev");
+    let (dirty, report) = replan
+        .split_once('\n')
+        .expect("a dirty-count line, then the report");
+    assert_eq!(dirty, "circuit1: replan 1/1 quadrants dirty");
+    assert_eq!(report_lines(report), report_lines(&served), "{replan}");
+    assert_eq!(
+        fs::read(&replanned).unwrap(),
+        fs::read(&served_order).unwrap()
+    );
+
+    cli::run(&s(&["shutdown", "--addr", &addr])).expect("shutdown");
+    daemon
+        .join()
+        .expect("no panic")
+        .expect("daemon exits cleanly");
+}
+
+/// The plan report lines of a `plan`, `replan` or `submit` output:
+/// without `submit`'s `cache …` line and the `wrote …` lines.
+fn report_lines(out: &str) -> Vec<&str> {
+    out.lines()
+        .filter(|line| !line.starts_with("wrote ") && !line.contains(": cache "))
+        .collect()
 }
 
 #[test]
