@@ -7,6 +7,8 @@
 //! the **actual** four pad rings (not a replicated one), and reports the
 //! shared cut-line congestion across quadrant boundaries.
 
+use std::thread::ScopedJoinHandle;
+
 use copack_geom::{Assignment, NetKind, Package, Quadrant, QuadrantSide};
 use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
 use copack_power::{solve_mg_traced, GridSpec, PadRing};
@@ -112,6 +114,21 @@ pub(crate) fn effective_threads(threads: usize) -> usize {
     }
 }
 
+/// Joins scoped worker threads before their scope ends.
+///
+/// `std::thread::scope` returns as soon as every worker's closure has
+/// finished, while the OS threads may still be exiting and holding their
+/// malloc arenas. Workers spawned right after that open fresh arenas, so
+/// the process's peak memory would grow with the host's load. `join`
+/// waits for each thread to end. A worker's panic is re-raised as is.
+pub(crate) fn join_workers(handles: Vec<ScopedJoinHandle<'_, ()>>) {
+    for handle in handles {
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
 /// Plans every quadrant of `package` with the two-step flow and evaluates
 /// the package as a whole.
 ///
@@ -200,6 +217,7 @@ pub fn plan_package_traced(
         // each scoped thread owns its slice of the result vector.
         let chunk = sides.len().div_ceil(workers);
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for (((work, init), out), trace_out) in sides
                 .chunks(chunk)
                 .zip(initials.chunks(chunk))
@@ -207,14 +225,15 @@ pub fn plan_package_traced(
                 .zip(traces.chunks_mut(chunk))
             {
                 let plan_one = &plan_one;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     for ((((side, quadrant), initial), slot), trace_slot) in
                         work.iter().zip(init).zip(out.iter_mut()).zip(trace_out)
                     {
                         *slot = Some(plan_one(*side, quadrant, initial, trace_slot));
                     }
-                });
+                }));
             }
+            join_workers(handles);
         });
     }
     if rec_on {

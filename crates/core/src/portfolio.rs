@@ -70,7 +70,7 @@ use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
 use copack_route::RangeCache;
 
 use crate::exchange::{slot_tables, ExchangeDriver, NO_NET};
-use crate::package_plan::effective_threads;
+use crate::package_plan::{effective_threads, join_workers};
 use crate::{CancelToken, CoreError, ExchangeConfig, ExchangeResult};
 
 /// How the portfolio's starts relate to each other.
@@ -616,8 +616,9 @@ pub fn exchange_portfolio_cancellable(
         } else {
             let chunk = runs.len().div_ceil(workers);
             std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(workers);
                 for slice in runs.chunks_mut(chunk) {
-                    scope.spawn(move || {
+                    handles.push(scope.spawn(move || {
                         for run in slice {
                             let epoch = run.epochs_done;
                             run.advance_epoch(
@@ -627,8 +628,9 @@ pub fn exchange_portfolio_cancellable(
                                 cancel,
                             );
                         }
-                    });
+                    }));
                 }
+                join_workers(handles);
             });
         }
         // Barrier: propagate the first failure in start-index order.
