@@ -11,6 +11,7 @@
 use copack::core::{evaluate_ir_map_traced, Codesign, ExchangeConfig, Schedule};
 use copack::gen::circuits;
 use copack::geom::{Assignment, NetKind, Quadrant};
+use copack::io::parse_assignment;
 use copack::obs::{Event, Solver, TraceBuffer};
 use copack::power::{
     solve_cg_nodes, solve_dense_nodes, solve_mg_nodes, solve_mg_nodes_traced, GridSpec, Hotspot,
@@ -312,12 +313,27 @@ impl SplitMix {
     }
 }
 
+/// The 20 frozen Table 1 pad-ring orders (`tests/data/table1_rings.txt`),
+/// in file order: circuits 1–5, each at ψ = 1 then 4, before then after
+/// the exchange.
+fn frozen_rings() -> Vec<Assignment> {
+    include_str!("data/table1_rings.txt")
+        .split("\n\n")
+        .filter(|block| block.contains("\nassignment "))
+        .map(|block| parse_assignment(block).expect("frozen ring parses").1)
+        .collect()
+}
+
 /// The solver's exact output on the flow's 20 Table 1 pad rings: the
 /// default `Codesign` on circuits 1–5 at ψ = 1 and 4, solved before and
-/// after the exchange. A kernel rewrite that keeps each node's operands
-/// and their order leaves this digest unchanged; anything else moves it.
+/// after the exchange. The orders are frozen (see [`frozen_rings`]), so an
+/// annealer change cannot move the digest; the before-orders must still be
+/// the flow's DFA output, solved to the IR drop the flow reports. A kernel
+/// rewrite that keeps each node's operands and their order leaves this
+/// digest unchanged; anything else moves it.
 #[test]
 fn table1_rings_solve_to_pinned_bits() {
+    let mut rings = frozen_rings().into_iter();
     let mut digest = Fnv::new();
     for planar in circuits() {
         for circuit in [planar.clone(), planar.stacked(4)] {
@@ -327,19 +343,22 @@ fn table1_rings_solve_to_pinned_bits() {
                 ..Codesign::default()
             };
             let report = flow.run(&quadrant).expect("flow runs");
-            for (reported, order) in [
-                (report.ir_before, &report.initial),
-                (report.ir_after, &report.final_assignment),
-            ] {
+            let before = rings.next().expect("a frozen before-order");
+            assert_eq!(before, report.initial, "{}: DFA order moved", circuit.name);
+            let after = rings.next().expect("a frozen after-order");
+            for (reported, order) in [(Some(report.ir_before), &before), (None, &after)] {
                 let mut trace = TraceBuffer::new();
                 let map = evaluate_ir_map_traced(&quadrant, order, &flow.grid, None, &mut trace)
                     .expect("solves")
                     .expect("power nets");
-                assert_eq!(reported, Some(map.max_drop()), "{}", circuit.name);
+                if let Some(reported) = reported {
+                    assert_eq!(reported, Some(map.max_drop()), "{}", circuit.name);
+                }
                 digest.solve(&map, &trace);
             }
         }
     }
+    assert!(rings.next().is_none(), "20 frozen rings");
     assert_eq!(digest.0, 0x8742_bfd5_b6ad_4c5e, "digest {:#018x}", digest.0);
 }
 
