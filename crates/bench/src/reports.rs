@@ -158,30 +158,54 @@ pub fn table2_report() -> String {
 /// the paper reports single runs of an unspecified seed).
 const TABLE3_SEEDS: [u64; 3] = [0xC0DE, 0xBEEF, 0xF00D];
 
+/// Exchange seeds of Table 3's spread lines: seeds `1..=24`.
+const TABLE3_SPREAD_SEEDS: u64 = 24;
+
+/// One flow run's Table 3 figures: IR improvement, bonding-wire
+/// improvement and after-exchange max density.
+fn table3_run(base: &Codesign, quadrant: &Quadrant, seed: u64) -> (CodesignReport, [f64; 3]) {
+    let mut cfg = base.clone();
+    cfg.exchange.seed = seed;
+    let report = cfg.run(quadrant).expect("pipeline runs");
+    let figures = [
+        report.ir_improvement_percent.unwrap_or(0.0),
+        report.omega_improvement_percent.unwrap_or(0.0),
+        f64::from(report.routing_after.max_density),
+    ];
+    (report, figures)
+}
+
 /// Runs the flow once per seed and returns the last report plus the
 /// seed-averaged IR improvement, bonding-wire improvement, and
 /// after-exchange max density.
 fn averaged(base: &Codesign, quadrant: &Quadrant) -> (CodesignReport, f64, f64, f64) {
-    let mut ir_sum = 0.0;
-    let mut bw_sum = 0.0;
-    let mut dens_sum = 0.0;
+    let mut sums = [0.0f64; 3];
     let mut last = None;
     for &seed in &TABLE3_SEEDS {
-        let mut cfg = base.clone();
-        cfg.exchange.seed = seed;
-        let report = cfg.run(quadrant).expect("pipeline runs");
-        ir_sum += report.ir_improvement_percent.unwrap_or(0.0);
-        bw_sum += report.omega_improvement_percent.unwrap_or(0.0);
-        dens_sum += f64::from(report.routing_after.max_density);
+        let (report, figures) = table3_run(base, quadrant, seed);
+        for (sum, v) in sums.iter_mut().zip(figures) {
+            *sum += v;
+        }
         last = Some(report);
     }
     let n = TABLE3_SEEDS.len() as f64;
     (
         last.expect("at least one seed"),
-        ir_sum / n,
-        bw_sum / n,
-        dens_sum / n,
+        sums[0] / n,
+        sums[1] / n,
+        sums[2] / n,
     )
+}
+
+/// The IR and bonding-wire improvements of one configuration at every
+/// spread seed.
+fn spread_runs(base: &Codesign, quadrant: &Quadrant) -> Vec<[f64; 2]> {
+    (1..=TABLE3_SPREAD_SEEDS)
+        .map(|seed| {
+            let [ir, bondwire, _] = table3_run(base, quadrant, seed).1;
+            [ir, bondwire]
+        })
+        .collect()
 }
 
 /// Renders the paper's **Table 3**: the effect of the finger/pad exchange
@@ -189,12 +213,22 @@ fn averaged(base: &Codesign, quadrant: &Quadrant) -> (CodesignReport, f64, f64, 
 /// the five circuits — max density before/after, IR-drop improvement, and
 /// (for stacking) the bonding-wire improvement.
 ///
+/// Below the table, one line per improvement column gives the seed spread
+/// of its average row: the five-circuit average at each of 24 exchange
+/// seeds, as mean and min–max, and whether the paper's average falls
+/// inside that range.
+///
 /// Paper reference values: 2-D IR-drop improvement avg 10.61%; stacking
 /// (ψ = 4) IR-drop improvement avg 4.58% and bonding-wire improvement avg
 /// 15.66%; density after exchanging grows by a couple of units (the cost
 /// of the IR/bond-wire gains).
 #[must_use]
 pub fn table3_report() -> String {
+    const COLUMNS: [(&str, f64); 3] = [
+        ("2-D IR impr %", 10.61),
+        ("4T IR impr %", 4.58),
+        ("4T bondwire impr %", 15.66),
+    ];
     let base = Codesign {
         grid: GridSpec::default_chip(48),
         ..Codesign::default()
@@ -238,14 +272,27 @@ pub fn table3_report() -> String {
             f2(ir4),
             f2(bw4),
         ];
-        (cells, [ir2, ir4, bw4])
+        let (spread2, spread4) = (spread_runs(&base, &q2), spread_runs(&cfg4, &q4));
+        let spread = [
+            spread2.iter().map(|r| r[0]).collect::<Vec<_>>(),
+            spread4.iter().map(|r| r[0]).collect(),
+            spread4.iter().map(|r| r[1]).collect(),
+        ];
+        (cells, [ir2, ir4, bw4], spread)
     });
 
     let mut sums = [0.0f64; 3];
-    for (cells, improvements) in rows {
+    // Per column, the sum over circuits at each spread seed.
+    let mut seed_sums = [[0.0f64; TABLE3_SPREAD_SEEDS as usize]; 3];
+    for (cells, improvements, spread) in rows {
         table.row(cells);
         for (sum, v) in sums.iter_mut().zip(improvements) {
             *sum += v;
+        }
+        for (column, runs) in seed_sums.iter_mut().zip(spread) {
+            for (sum, v) in column.iter_mut().zip(runs) {
+                *sum += v;
+            }
         }
     }
 
@@ -273,6 +320,31 @@ pub fn table3_report() -> String {
         out,
         "Paper averages: 2-D IR 10.61%, stacking IR 4.58%, bonding wire 15.66%"
     );
+    let _ = writeln!(
+        out,
+        "Average improvement over seeds 1-{TABLE3_SPREAD_SEEDS} (mean, min-max):"
+    );
+    for ((name, paper), column) in COLUMNS.iter().zip(seed_sums) {
+        let averages: Vec<f64> = column.iter().map(|sum| sum / n).collect();
+        let mean = averages.iter().sum::<f64>() / averages.len() as f64;
+        let (lo, hi) = averages
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+        let verdict = if (lo..=hi).contains(paper) {
+            "inside"
+        } else {
+            "outside"
+        };
+        let _ = writeln!(
+            out,
+            "  {name:<20} {} ({}-{}); paper {paper:.2} {verdict}",
+            f2(mean),
+            f2(lo),
+            f2(hi)
+        );
+    }
     out
 }
 
