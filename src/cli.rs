@@ -402,11 +402,11 @@ fn load_quadrant(path: &str) -> Result<(String, Quadrant), String> {
     parse_quadrant(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_assignment(path: &str) -> Result<Assignment, String> {
+/// Reads the plan an assignment file records for `quadrant`, over all of
+/// its fingers (see [`planned_assignment`]).
+fn load_assignment(path: &str, quadrant: &Quadrant) -> Result<Assignment, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    Ok(parse_assignment(&text)
-        .map_err(|e| format!("{path}: {e}"))?
-        .1)
+    planned_assignment(quadrant, &text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Parses `--psi` (default 1, planar) into the stack configuration every
@@ -677,7 +677,8 @@ fn cmd_replan(args: &[String]) -> Result<String, String> {
         .ok_or_else(|| format!("replan needs --delta EDITS-FILE\n\n{USAGE}"))?;
     let (name, base) = load_quadrant(path)?;
     let prev_text = fs::read_to_string(prev_path).map_err(|e| format!("{prev_path}: {e}"))?;
-    let (_, previous) = parse_assignment(&prev_text).map_err(|e| format!("{prev_path}: {e}"))?;
+    let previous =
+        planned_assignment(&base, &prev_text).map_err(|e| format!("{prev_path}: {e}"))?;
     let delta_text = fs::read_to_string(delta_path).map_err(|e| format!("{delta_path}: {e}"))?;
     let (_, delta) = parse_delta(&delta_text).map_err(|e| format!("{delta_path}: {e}"))?;
     let profile = load_profile(&opts)?;
@@ -777,7 +778,7 @@ fn cmd_route(args: &[String]) -> Result<String, String> {
         ));
     };
     let (name, quadrant) = load_quadrant(circuit_path)?;
-    let assignment = load_assignment(assignment_path)?;
+    let assignment = load_assignment(assignment_path, &quadrant)?;
     let report =
         analyze(&quadrant, &assignment, DensityModel::Geometric).map_err(|e| e.to_string())?;
     let balanced = balanced_density_map(&quadrant, &assignment)
@@ -813,7 +814,7 @@ fn cmd_ir(args: &[String]) -> Result<String, String> {
         return Err(format!("ir expects a circuit and an assignment\n\n{USAGE}"));
     };
     let (name, quadrant) = load_quadrant(circuit_path)?;
-    let assignment = load_assignment(assignment_path)?;
+    let assignment = load_assignment(assignment_path, &quadrant)?;
     let n = opts.num("grid", 48usize)?;
     let grid = GridSpec::default_chip(n);
     let mut telemetry = Telemetry::from_options(&opts)?;
@@ -1504,6 +1505,63 @@ mod tests {
         assert!(out.contains("mV"), "{out}");
     }
 
+    /// A plan with trailing spare fingers is read back at the circuit's
+    /// finger count, not at its last occupied slot: `ir` solves the ring
+    /// the planner placed, `route` draws every finger, and a clean
+    /// `replan` prints the planned order.
+    #[test]
+    fn sparse_plans_are_read_at_the_circuits_width() {
+        let dir = TestDir::new("sparse_plan");
+        let circuit_path = dir.path("c1.copack");
+        let plan_path = dir.path("c1.order");
+        let text = run(&s(&["gen", "1"])).unwrap() + "fingers 34\n";
+        fs::write(&circuit_path, &text).unwrap();
+        let (circuit, path) = (circuit_path.to_str().unwrap(), plan_path.to_str().unwrap());
+        let planned = run(&s(&["plan", circuit, "--exchange", "--out", path])).unwrap();
+        let order = planned
+            .lines()
+            .find(|l| l.starts_with("order: "))
+            .expect("plan prints its order");
+        assert_eq!(order.matches(',').count(), 33, "{order}");
+        // The last occupied slot is below 34, so the file alone would
+        // size the plan to fewer fingers.
+        let (_, parsed) = parse_assignment(&fs::read_to_string(&plan_path).unwrap()).unwrap();
+        assert!(parsed.finger_count() < 34, "{}", parsed.finger_count());
+
+        let (_, quadrant) = parse_quadrant(&text).unwrap();
+        let mut widened = Assignment::empty(34);
+        for (finger, net) in parsed.iter() {
+            widened.place(net, finger).unwrap();
+        }
+        let drop = copack_core::evaluate_ir_map(&quadrant, &widened, &GridSpec::default_chip(48))
+            .unwrap()
+            .unwrap()
+            .max_drop();
+        let ir = run(&s(&["ir", circuit, path])).unwrap();
+        assert!(
+            ir.contains(&format!("max IR-drop {:.3} mV", drop * 1000.0)),
+            "{ir}"
+        );
+        let route = run(&s(&["route", circuit, path])).unwrap();
+        let fingers = route
+            .lines()
+            .find(|l| l.starts_with("fingers: "))
+            .expect("route draws the fingers");
+        assert_eq!(fingers, order.replacen("order: ", "fingers: ", 1));
+
+        let edits = dir.path("noop.edits");
+        fs::write(
+            &edits,
+            copack_io::write_delta("circuit1", &copack_core::InstanceDelta::default()),
+        )
+        .unwrap();
+        let args = ["replan", circuit, "--prev", path, "--delta"];
+        let mut args = s(&args);
+        args.push(edits.to_str().unwrap().to_owned());
+        let replanned = run(&args).unwrap();
+        assert!(replanned.contains(order), "{replanned}");
+    }
+
     #[test]
     fn plan_supports_exchange_and_methods() {
         let dir = TestDir::new("methods");
@@ -1850,7 +1908,9 @@ mod tests {
         assert!(out.contains("1/1 quadrants dirty"), "{out}");
         assert!(out.contains("after replan (cost "), "{out}");
         // The written assignment is for the *edited* netlist.
-        let replanned = load_assignment(out_path.to_str().unwrap()).unwrap();
+        let replanned = parse_assignment(&fs::read_to_string(&out_path).unwrap())
+            .unwrap()
+            .1;
         assert_eq!(replanned.finger_count(), churned.finger_count());
         // Deterministic: a second run is byte-identical.
         assert_eq!(run(&args).unwrap(), out);
