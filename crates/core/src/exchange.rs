@@ -23,7 +23,7 @@ use copack_geom::{Assignment, FingerIdx, NetId, NetKind, Quadrant, StackConfig};
 use copack_obs::{Event, NoopRecorder, Recorder};
 use copack_power::PadSpacingProxy;
 use copack_route::{check_monotonic, exchange_range, RangeCache};
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::omega::check_tier;
 use crate::{
@@ -306,9 +306,6 @@ pub(crate) type FrozenRun = (Vec<(u32, u32)>, usize, ExchangeStats);
 /// hands the term to the [`Walk`]'s move loop.
 pub(crate) struct ExchangeDriver<'a> {
     quadrant: &'a Quadrant,
-    /// A private copy of the initial order, kept for the final
-    /// journal replay.
-    initial: Assignment,
     cooling: f64,
     final_temp: f64,
     /// The Δ_IR tracker; `None` when λ = 0.
@@ -441,6 +438,16 @@ impl<'a> ExchangeDriver<'a> {
         };
         let ir_term = ir.as_mut().map_or(0.0, |t| t.term(config.weights.lambda));
 
+        // The journal is reserved once at the run's proposal bound, so it
+        // never copies itself while it grows; capacity that is never
+        // touched is never resident. If the reservation fails, or a
+        // tempering swap stretches the run past the bound, it grows as
+        // any `Vec` does.
+        let moves_per_temp = config.schedule.moves_per_temp_per_finger * alpha;
+        let mut journal = Vec::new();
+        let _ = journal
+            .try_reserve_exact(moves_per_temp.saturating_mul(config.schedule.temperature_steps()));
+
         // Telemetry flags, cached once: with a disabled recorder every
         // event site is a never-taken branch and the run stays
         // bit-identical.
@@ -466,7 +473,7 @@ impl<'a> ExchangeDriver<'a> {
             ir_term,
             current_cost: 0.0,
             temperature: 0.0,
-            moves_per_temp: config.schedule.moves_per_temp_per_finger * alpha,
+            moves_per_temp,
             stats: ExchangeStats {
                 initial_cost: 0.0,
                 final_cost: 0.0,
@@ -478,7 +485,7 @@ impl<'a> ExchangeDriver<'a> {
             },
             rec_on,
             rec_rejected: rec_on && recorder.wants_rejected(),
-            journal: Vec::new(),
+            journal,
             best_len: 0,
             best_cost: 0.0,
         };
@@ -513,7 +520,6 @@ impl<'a> ExchangeDriver<'a> {
         }
         Ok(Self {
             quadrant,
-            initial: initial.clone(),
             cooling: config.schedule.cooling,
             final_temp,
             ir,
@@ -656,7 +662,8 @@ impl<'a> ExchangeDriver<'a> {
     }
 
     /// Rematerialises the best state seen, re-checks its legality, and
-    /// records `RunEnd`.
+    /// records `RunEnd`. The walk's slot table is rewound to the best
+    /// state, so the driver must not be advanced afterwards.
     ///
     /// # Errors
     ///
@@ -667,12 +674,20 @@ impl<'a> ExchangeDriver<'a> {
         recorder: &mut dyn Recorder,
     ) -> Result<ExchangeResult, CoreError> {
         let walk = &mut self.walk;
-        // Rematerialise the best state: replay the accepted-move prefix
-        // onto the initial order.
-        let mut best = self.initial.clone();
-        for &word in &walk.journal[..walk.best_len] {
+        // Rematerialise the best state on the flat slot table: every swap
+        // is self-inverse, so undoing the accepted moves past the best
+        // prefix, last first, rewinds the live order to the best one.
+        // The `Assignment` is built once, from the rewound table.
+        for &word in walk.journal[walk.best_len..].iter().rev() {
             let (a, b) = unpack(word);
-            best.swap(FingerIdx::new(a), FingerIdx::new(b))?;
+            walk.slot_net.swap(a as usize - 1, b as usize - 1);
+        }
+        let ids: Vec<NetId> = self.quadrant.nets().map(|n| n.id).collect();
+        let mut best = Assignment::empty(walk.slot_net.len());
+        for (slot, &net) in walk.slot_net.iter().enumerate() {
+            if net != NO_NET {
+                best.place(ids[net as usize], FingerIdx::from_zero_based(slot))?;
+            }
         }
         // The range constraint guarantees legality move by move; re-check
         // the final order for real (not just in debug builds) so a tracker
@@ -725,8 +740,8 @@ impl Walk {
     /// (counted only while recording, for `TempStep`).
     ///
     /// The RNG draws are the reference's, in its order: the mover
-    /// (`gen_range`), the direction (`gen_bool`), and the Metropolis draw
-    /// only for an uphill move.
+    /// (`gen_range`), the direction (`gen_bool(0.5)`'s outcome, read from
+    /// one raw word), and the Metropolis draw only for an uphill move.
     ///
     /// # Errors
     ///
@@ -747,7 +762,9 @@ impl Walk {
             }
             let mover = self.movable[self.rng.gen_range(0..picks)];
             let pos = self.pos1[mover as usize];
-            let right = self.rng.gen_bool(0.5);
+            // The reference's `gen_bool(0.5)`, from the draw's top bit:
+            // `(x >> 11) · 2⁻⁵³ < 0.5` holds iff bit 63 of `x` is clear.
+            let right = self.rng.next_u64() >> 63 == 0;
             let target = if right {
                 if pos >= self.alpha {
                     self.stats.constraint_rejected += 1;

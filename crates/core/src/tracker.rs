@@ -167,12 +167,15 @@ impl SectionTracker {
 /// Each slot holds its net's one-hot tier bit (`UP_d`, inside the ψ-bit
 /// mask because every tier is checked against ψ at construction), and
 /// each ψ-sized group its zero-bit count, so an adjacent swap that
-/// crosses a group boundary re-ORs two groups of ψ words.
+/// crosses a group boundary re-ORs two groups of ψ words. A slot → group
+/// table finds the boundary without dividing by ψ.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OmegaTracker {
     psi: usize,
     /// One-hot tier bit of the net in each slot (dense orders only).
     bits: Vec<u64>,
+    /// ψ-sized group of each slot.
+    group_of: Vec<u32>,
     /// Zero-bit count of each ψ-sized group.
     group_zeros: Vec<u32>,
     omega: u64,
@@ -208,10 +211,15 @@ impl OmegaTracker {
         }
         let psi = usize::from(psi);
         let group_zeros: Vec<u32> = bits.chunks(psi).map(|g| zeros(g, psi)).collect();
+        let group_of = (0..group_zeros.len())
+            .flat_map(|g| std::iter::repeat(u32::try_from(g).expect("group fits u32")).take(psi))
+            .take(bits.len())
+            .collect();
         let omega = group_zeros.iter().map(|&z| u64::from(z)).sum();
         Ok(Self {
             psi,
             bits,
+            group_of,
             group_zeros,
             omega,
         })
@@ -233,13 +241,12 @@ impl OmegaTracker {
     pub(crate) fn swap_slots(&mut self, i: usize) {
         assert!(i + 1 < self.bits.len(), "swap out of range");
         self.bits.swap(i, i + 1);
-        // The swap crosses a group boundary iff `i + 1` starts a group;
-        // within one group the union is unchanged.
-        if (i + 1) % self.psi != 0 {
+        // Within one group the union is unchanged.
+        let (left, right) = (self.group_of[i], self.group_of[i + 1]);
+        if left == right {
             return;
         }
-        let right = (i + 1) / self.psi;
-        for g in [right - 1, right] {
+        for g in [left as usize, right as usize] {
             let start = g * self.psi;
             let end = (start + self.psi).min(self.bits.len());
             let new_zeros = zeros(&self.bits[start..end], self.psi);
