@@ -6,22 +6,23 @@
 //! * [`exchange`] — the production kernel. Each proposal reads and writes
 //!   only flat `u32` tables over the quadrant's dense net index: positions
 //!   and slot occupants, exchange ranges in a [`RangeCache`], the Δ_IR
-//!   term in a prefix-cached [`crate::DeltaIrTracker`]. The best-seen
-//!   state is a **move journal** (accepted swaps + a prefix length)
-//!   rematerialised once at the end instead of a full clone per
+//!   term as an integer gap-square sum in a [`crate::DeltaIrTracker`]. The
+//!   best-seen state is a **move journal** (accepted swaps + a prefix
+//!   length) rematerialised once at the end instead of a full clone per
 //!   improvement. The move loop is monomorphised over whether the Δ_IR
 //!   term is scored, so a proposal never dispatches on it, and it
 //!   allocates nothing.
 //! * [`exchange_reference`] — the original straight-line implementation
-//!   that re-derives ranges and rebuilds the pad-spacing proxy every move.
-//!   Kept as the executable specification: the two produce
+//!   that re-derives ranges and re-scores the pad spacing from scratch
+//!   every move. Kept as the executable specification: the two produce
 //!   **bit-identical** [`ExchangeResult`]s for any seed and configuration
 //!   (equivalence is property- and integration-tested), and the benches
-//!   measure the kernel against it.
+//!   measure the kernel against it. Both score Δ_IR with one shared exact
+//!   formula, [`copack_power::slot_delta_ir`].
 
 use copack_geom::{Assignment, FingerIdx, NetId, NetKind, Quadrant, StackConfig};
 use copack_obs::{Event, NoopRecorder, Recorder};
-use copack_power::PadSpacingProxy;
+use copack_power::{slot_delta_ir, slot_gap_squares};
 use copack_route::{check_monotonic, exchange_range, RangeCache};
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -107,7 +108,7 @@ trait IrTerm {
     /// Undoes `swap(left_slot)` for a rejected move.
     fn revert(&mut self, left_slot: u32);
     /// The λ-weighted term of the current state.
-    fn term(&mut self, lambda: f64) -> f64;
+    fn term(&self, lambda: f64) -> f64;
 }
 
 /// The λ = 0 term: no swap changes it.
@@ -120,7 +121,7 @@ impl IrTerm for NoIr {
 
     fn revert(&mut self, _left_slot: u32) {}
 
-    fn term(&mut self, _lambda: f64) -> f64 {
+    fn term(&self, _lambda: f64) -> f64 {
         0.0
     }
 }
@@ -140,7 +141,7 @@ impl IrTerm for DeltaIrTracker {
     }
 
     #[inline]
-    fn term(&mut self, lambda: f64) -> f64 {
+    fn term(&self, lambda: f64) -> f64 {
         if self.power_pad_count() == 0 {
             0.0
         } else {
@@ -431,12 +432,12 @@ impl<'a> ExchangeDriver<'a> {
         // The margin tracker only exists when the term is weighted: at
         // μ = 0 nothing is built or updated.
         let margin = (config.weights.margin > 0.0).then(|| MarginTracker::new(quadrant, initial));
-        let mut ir = if config.weights.lambda > 0.0 {
+        let ir = if config.weights.lambda > 0.0 {
             Some(DeltaIrTracker::new(quadrant, initial)?)
         } else {
             None
         };
-        let ir_term = ir.as_mut().map_or(0.0, |t| t.term(config.weights.lambda));
+        let ir_term = ir.as_ref().map_or(0.0, |t| t.term(config.weights.lambda));
 
         // The journal is reserved once at the run's proposal bound, so it
         // never copies itself while it grows; capacity that is never
@@ -933,8 +934,9 @@ fn validate(
 /// executable specification for [`exchange`].
 ///
 /// Each move re-derives both exchange ranges, re-collects the power-pad
-/// coordinates and rebuilds the [`PadSpacingProxy`] — `O(β)`-ish work per
-/// proposal — and clones the whole assignment on every improvement. Use it
+/// slots and re-sums their squared gaps ([`slot_gap_squares`]) — `O(β)`-ish
+/// work per proposal — and clones the whole assignment on every
+/// improvement. Use it
 /// to cross-check the kernel (they are bit-identical) and as the baseline
 /// in the benches; use [`exchange`] everywhere else.
 ///
@@ -992,13 +994,17 @@ pub fn exchange_reference_traced(
         let mut cost = 0.0;
         let mut ir_term = 0.0;
         if config.weights.lambda > 0.0 {
-            let ts: Vec<f64> = quadrant
+            // From scratch every move: the power pads' slots, their
+            // integer gaps, and the shared exact formula.
+            let slots: Vec<u64> = quadrant
                 .nets_of_kind(NetKind::Power)
                 .filter_map(|n| a.position_of(n))
-                .map(|f| (f.get() as f64 - 0.5) / alpha as f64)
+                .map(|f| f.zero_based() as u64)
                 .collect();
-            if !ts.is_empty() {
-                ir_term = config.weights.lambda * PadSpacingProxy::new(&ts)?.delta_ir();
+            if !slots.is_empty() {
+                let g = slot_gap_squares(&slots, alpha as u64);
+                ir_term =
+                    config.weights.lambda * slot_delta_ir(g, slots.len() as u64, alpha as u64);
                 cost += ir_term;
             }
         }
@@ -1209,6 +1215,7 @@ mod tests {
     use super::*;
     use crate::{dfa, CostWeights};
     use copack_geom::{NetKind, Quadrant, TierId};
+    use copack_power::PadSpacingProxy;
     use copack_route::is_monotonic;
 
     /// Fig. 5 instance with power nets sprinkled in.

@@ -8,9 +8,8 @@
 //! trackers implement them; property tests pin them to the from-scratch
 //! definitions ([`crate::SectionBaseline`], [`crate::omega`]).
 
-use std::fmt;
-
 use copack_geom::{Assignment, FingerIdx, NetId, NetIndex, NetKind, Quadrant};
+use copack_power::{slot_delta_ir, slot_gap_squares};
 
 use crate::omega::check_tier;
 use crate::{CoreError, SectionBaseline};
@@ -274,64 +273,33 @@ const NO_PAD: u32 = u32::MAX;
 
 /// Incrementally tracked Δ_IR pad-spacing proxy (Eq. 3's first term).
 ///
-/// The naive evaluation collects every power pad's perimeter coordinate
-/// into a fresh `Vec` and rebuilds a [`copack_power::PadSpacingProxy`] per
-/// move — `O(k log k)` work and two allocations for a swap that moves at
-/// most **one** power pad by one slot. This tracker keeps the power-pad
-/// coordinates in sorted order across adjacent swaps with an `O(1)`,
-/// allocation-free update, exploiting two facts:
+/// Each power pad sits at `(slot + 0.5) / α`, so every perimeter gap is a
+/// whole number of fingers over α and the proxy is a function of
+/// `G = Σ g²` over the integer gaps ([`copack_power::slot_delta_ir`]).
+/// The tracker keeps the pads' slots in sorted order and G across
+/// adjacent swaps, exploiting two facts:
 ///
 /// * swapping two power pads permutes nets but leaves the occupied *slots*
-///   unchanged, so the coordinate multiset is untouched;
+///   unchanged, so G is untouched;
 /// * a power pad moving one slot into a non-power slot cannot jump past
 ///   another power pad (that pad would have been the swap partner), so its
-///   sorted rank is stable and only its value changes.
+///   sorted rank is stable; the gap behind it grows by 1 and the gap ahead
+///   shrinks by 1, so G changes by `2·(g_behind − g_ahead) + 2` in O(1).
 ///
-/// [`DeltaIrTracker::delta_ir`] sums the squared gap deviations in
-/// exactly the order `PadSpacingProxy::delta_ir` does (windows left to
-/// right, wrap gap last), so the score is **bit-identical** to the
-/// from-scratch rebuild — the annealer's accept/reject trajectory cannot
-/// diverge.
-///
-/// The read is prefix-cached. `prefix[j]` holds the running sum after
-/// window term `j` (the gap between ranks `j` and `j + 1`), and the
-/// watermark counts the entries still valid. Moving the pad of rank `r`
-/// changes only window terms `r − 1` and `r` (and the wrap term, which
-/// every read recomputes), so it lowers the watermark to `r − 1`; a read
-/// resumes from the last valid running sum and re-adds only the windows
-/// after it. Each addition has the operands of the from-scratch loop in
-/// its order, so the cache never changes a bit. The cache is derived
-/// state: equality and `Debug` ignore it.
-#[derive(Clone)]
+/// [`DeltaIrTracker::delta_ir`] is one call of the shared formula, which
+/// `exchange_reference` also scores with, so the kernel and the reference
+/// agree by construction.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaIrTracker {
-    /// Finger count as `f64`, the coordinate denominator.
-    alpha: f64,
-    /// Power-pad perimeter coordinates, sorted ascending.
-    ts: Vec<f64>,
-    /// Rank in `ts` of the power pad occupying each 0-based slot
+    /// Finger count α.
+    alpha: u64,
+    /// The power pads' 0-based slots, sorted ascending.
+    slots: Vec<u32>,
+    /// Rank in `slots` of the power pad occupying each 0-based slot
     /// ([`NO_PAD`] for a slot without one).
     rank_of_slot: Vec<u32>,
-    /// `prefix[j]`: the running sum after window term `j` (`k − 1`
-    /// entries for `k` pads).
-    prefix: Vec<f64>,
-    /// Number of leading `prefix` entries that are valid.
-    fresh: usize,
-}
-
-impl PartialEq for DeltaIrTracker {
-    fn eq(&self, other: &Self) -> bool {
-        self.alpha == other.alpha && self.ts == other.ts && self.rank_of_slot == other.rank_of_slot
-    }
-}
-
-impl fmt::Debug for DeltaIrTracker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DeltaIrTracker")
-            .field("alpha", &self.alpha)
-            .field("ts", &self.ts)
-            .field("rank_of_slot", &self.rank_of_slot)
-            .finish_non_exhaustive()
-    }
+    /// G: the sum of the squared integer perimeter gaps.
+    gap_squares: u64,
 }
 
 impl DeltaIrTracker {
@@ -342,51 +310,42 @@ impl DeltaIrTracker {
     /// Returns [`CoreError::Route`] if a power net is unplaced.
     pub fn new(quadrant: &Quadrant, assignment: &Assignment) -> Result<Self, CoreError> {
         let alpha = assignment.finger_count();
-        let mut slots: Vec<usize> = Vec::new();
+        let mut slots: Vec<u32> = Vec::new();
         for net in quadrant.nets_of_kind(NetKind::Power) {
             let pos = assignment
                 .position_of(net)
                 .ok_or(copack_route::RouteError::Unplaced { net })?;
-            slots.push(pos.zero_based());
+            slots.push(u32::try_from(pos.zero_based()).expect("slot fits u32"));
         }
-        // Sorting the slots sorts the coordinates: t is monotone in the slot.
         slots.sort_unstable();
         let mut rank_of_slot = vec![NO_PAD; alpha];
-        let mut ts = Vec::with_capacity(slots.len());
         for (rank, &slot) in slots.iter().enumerate() {
-            rank_of_slot[slot] = u32::try_from(rank).expect("pad rank fits u32");
-            ts.push(Self::coordinate(slot, alpha as f64));
+            rank_of_slot[slot as usize] = u32::try_from(rank).expect("pad rank fits u32");
         }
+        let alpha = alpha as u64;
+        let wide: Vec<u64> = slots.iter().map(|&s| u64::from(s)).collect();
         Ok(Self {
-            alpha: alpha as f64,
-            prefix: vec![0.0; ts.len().saturating_sub(1)],
-            fresh: 0,
-            ts,
+            alpha,
+            gap_squares: slot_gap_squares(&wide, alpha),
+            slots,
             rank_of_slot,
         })
-    }
-
-    /// The perimeter coordinate of a 0-based slot — the exact expression
-    /// the naive path feeds to `PadSpacingProxy`.
-    fn coordinate(slot_zero_based: usize, alpha: f64) -> f64 {
-        ((slot_zero_based + 1) as f64 - 0.5) / alpha
     }
 
     /// Number of tracked power pads.
     #[must_use]
     pub fn power_pad_count(&self) -> usize {
-        self.ts.len()
+        self.slots.len()
     }
 
     /// Applies an adjacent swap of slots `pos` and `pos + 1`. Self-inverse,
     /// like the assignment swap it mirrors; callable before or after the
     /// assignment itself is swapped (it reads no assignment state).
     ///
-    /// Returns `true` iff a coordinate changed — i.e. the swap moved a
+    /// Returns `true` iff a pad's slot changed — i.e. the swap moved a
     /// power pad into a non-power slot. Callers may cache
     /// [`DeltaIrTracker::delta_ir`] and only refresh it on `true`: the
-    /// score is a pure function of `ts`, so an unchanged `ts` reproduces
-    /// the cached value bit for bit.
+    /// score is a pure function of the slots.
     ///
     /// # Panics
     ///
@@ -396,9 +355,7 @@ impl DeltaIrTracker {
     }
 
     /// Undoes [`DeltaIrTracker::apply_adjacent_swap`] at the same `pos`,
-    /// as the annealer does for a rejected move. The pad moves back, so
-    /// the watermark drops again: a read between the swap and its revert
-    /// has re-summed the windows after the pad for the swapped state.
+    /// as the annealer does for a rejected move.
     ///
     /// # Panics
     ///
@@ -412,49 +369,47 @@ impl DeltaIrTracker {
         assert!(i + 1 < self.rank_of_slot.len(), "swap out of range");
         let (left, right) = (self.rank_of_slot[i], self.rank_of_slot[i + 1]);
         // Two power pads exchange nets, or neither slot holds one: the
-        // occupied slots — and hence the coordinates — are unchanged.
+        // occupied slots — and hence G — are unchanged.
         if (left == NO_PAD) == (right == NO_PAD) {
             return false;
         }
-        let (rank, to) = if left == NO_PAD {
-            (right, i)
+        let (rank, step) = if left == NO_PAD {
+            (right, -1)
         } else {
-            (left, i + 1)
+            (left, 1)
         };
         self.rank_of_slot[i] = right;
         self.rank_of_slot[i + 1] = left;
-        let r = rank as usize;
-        self.ts[r] = Self::coordinate(to, self.alpha);
-        // Window terms `r − 1` and `r` read `ts[r]`.
-        self.fresh = self.fresh.min(r.saturating_sub(1));
+        let (r, k) = (rank as usize, self.slots.len());
+        let from = i64::from(self.slots[r]);
+        // A lone pad's two gaps are one wrap-around gap of α.
+        if k > 1 {
+            let alpha = self.alpha as i64;
+            let prev = match r {
+                0 => i64::from(self.slots[k - 1]) - alpha,
+                _ => i64::from(self.slots[r - 1]),
+            };
+            let next = match self.slots.get(r + 1) {
+                Some(&s) => i64::from(s),
+                None => i64::from(self.slots[0]) + alpha,
+            };
+            // (gl + step)² + (gr − step)² − gl² − gr², with step² = 1.
+            let (gl, gr) = (from - prev, next - from);
+            self.gap_squares = self
+                .gap_squares
+                .checked_add_signed(2 * step * (gl - gr) + 2)
+                .expect("G stays non-negative");
+        }
+        self.slots[r] = u32::try_from(from + step).expect("slot fits u32");
         true
     }
 
-    /// The pad-spacing score, bit-identical to
-    /// `PadSpacingProxy::new(&ts)?.delta_ir()` over the same pads: gaps are
-    /// visited in the proxy's order (sorted windows, then the wrap-around
-    /// gap) and summed left to right. Returns `0.0` with no power pads —
-    /// callers guard that case like the naive path guards an empty `ts`.
-    ///
-    /// Re-adds only the window terms after the watermark (see the type
-    /// docs) and advances it to the end.
+    /// The pad-spacing score: [`copack_power::slot_delta_ir`] of the
+    /// tracked G. Returns `0.0` with no power pads — callers guard that
+    /// case like the reference guards an empty pad set.
     #[must_use]
-    pub fn delta_ir(&mut self) -> f64 {
-        let k = self.ts.len();
-        if k == 0 {
-            return 0.0;
-        }
-        let ideal = 1.0 / k as f64;
-        let mut sum = match self.fresh {
-            0 => 0.0,
-            w => self.prefix[w - 1],
-        };
-        for j in self.fresh..k - 1 {
-            sum += (self.ts[j + 1] - self.ts[j] - ideal).powi(2);
-            self.prefix[j] = sum;
-        }
-        self.fresh = k - 1;
-        sum + (1.0 - self.ts[k - 1] + self.ts[0] - ideal).powi(2)
+    pub fn delta_ir(&self) -> f64 {
+        slot_delta_ir(self.gap_squares, self.slots.len() as u64, self.alpha)
     }
 }
 
@@ -479,18 +434,27 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The naive Δ_IR evaluation the tracker replaces, verbatim.
+    /// The from-scratch Δ_IR score the tracker replaces: the shared
+    /// formula over the power pads' slots, checked against the float
+    /// proxy over their coordinates on the way.
     fn delta_ir_from_scratch(q: &Quadrant, a: &Assignment) -> f64 {
-        let alpha = a.finger_count();
-        let ts: Vec<f64> = q
+        let alpha = a.finger_count() as u64;
+        let slots: Vec<u64> = q
             .nets_of_kind(copack_geom::NetKind::Power)
             .filter_map(|n| a.position_of(n))
-            .map(|f| (f.get() as f64 - 0.5) / alpha as f64)
+            .map(|f| f.zero_based() as u64)
             .collect();
-        if ts.is_empty() {
+        if slots.is_empty() {
             return 0.0;
         }
-        copack_power::PadSpacingProxy::new(&ts).unwrap().delta_ir()
+        let exact = slot_delta_ir(slot_gap_squares(&slots, alpha), slots.len() as u64, alpha);
+        let ts: Vec<f64> = slots
+            .iter()
+            .map(|&s| (s as f64 + 0.5) / alpha as f64)
+            .collect();
+        let float = copack_power::PadSpacingProxy::new(&ts).unwrap().delta_ir();
+        assert!((exact - float).abs() <= 1e-12 * float.max(1e-12));
+        exact
     }
 
     /// Drives both trackers through a random legal-swap walk and checks
@@ -557,7 +521,7 @@ mod tests {
     fn delta_ir_tracker_matches_proxy_at_construction() {
         let q = quadrant();
         let a = dfa(&q, 1).unwrap();
-        let mut ir = DeltaIrTracker::new(&q, &a).unwrap();
+        let ir = DeltaIrTracker::new(&q, &a).unwrap();
         assert_eq!(ir.power_pad_count(), 3);
         assert_eq!(ir.delta_ir(), delta_ir_from_scratch(&q, &a));
     }
@@ -566,7 +530,7 @@ mod tests {
     fn delta_ir_tracker_handles_powerless_quadrants() {
         let q = Quadrant::builder().row([1u32, 2]).build().unwrap();
         let a = Assignment::from_order([1u32, 2]);
-        let mut ir = DeltaIrTracker::new(&q, &a).unwrap();
+        let ir = DeltaIrTracker::new(&q, &a).unwrap();
         assert_eq!(ir.power_pad_count(), 0);
         assert_eq!(ir.delta_ir(), 0.0);
     }

@@ -11,6 +11,11 @@
 //! are. Zero means perfectly uniform; larger is worse. The proxy is
 //! validated against the full solver in this crate's tests and in the
 //! `ablation` experiment (A3 in `DESIGN.md`).
+//!
+//! Pads on finger slots sit at `(slot + 0.5) / α`, so each gap is a whole
+//! number of fingers over α. [`slot_gap_squares`] and [`slot_delta_ir`]
+//! score such a ring exactly from its integer gaps; the exchange step's
+//! kernel and its reference both use them.
 
 use crate::PowerError;
 
@@ -73,10 +78,114 @@ impl PadSpacingProxy {
     }
 }
 
+/// `G = Σ g²` over the integer perimeter gaps of pads on distinct 0-based
+/// `slots` (any order) of an `alpha`-slot ring: the gaps between sorted
+/// neighbours, then the wrap-around gap `alpha − last + first`. One pad
+/// has the single gap `alpha`; no pads give 0.
+///
+/// # Panics
+///
+/// If a slot is not below `alpha`, or two slots coincide.
+#[must_use]
+pub fn slot_gap_squares(slots: &[u64], alpha: u64) -> u64 {
+    let mut sorted = slots.to_vec();
+    sorted.sort_unstable();
+    let (Some(&first), Some(&last)) = (sorted.first(), sorted.last()) else {
+        return 0;
+    };
+    assert!(last < alpha, "slot {last} outside a {alpha}-slot ring");
+    let wrap = alpha - last + first;
+    sorted
+        .windows(2)
+        .map(|w| {
+            assert!(w[0] < w[1], "two pads on slot {}", w[0]);
+            w[1] - w[0]
+        })
+        .chain([wrap])
+        .map(|g| g * g)
+        .sum()
+}
+
+/// [`PadSpacingProxy::delta_ir`] of `pads` pads on an `alpha`-slot ring
+/// whose integer gaps have square sum `gap_squares` ([`slot_gap_squares`]),
+/// by the exact identity `Σ (g − 1/k)² = (k·G − α²) / (k·α²)`.
+///
+/// The gaps sum to 1, which is what collapses the sum. `G ≤ α²` and
+/// `k ≤ α`, so while `α³ < 2⁵³` (up to about 2·10⁵ fingers) both integers
+/// convert to `f64` exactly and the score is one correctly rounded
+/// division: rings that are equal in exact arithmetic score equal. It
+/// agrees with the float sum over `(slot + 0.5) / α` coordinates to
+/// rounding error. No pads score 0.
+#[must_use]
+pub fn slot_delta_ir(gap_squares: u64, pads: u64, alpha: u64) -> f64 {
+    if pads == 0 {
+        return 0.0;
+    }
+    // Below 2²¹ fingers every product fits u64.
+    if alpha < 1 << 21 {
+        let a2 = alpha * alpha;
+        return (pads * gap_squares - a2) as f64 / (pads * a2) as f64;
+    }
+    let (k, g, a2) = (
+        u128::from(pads),
+        u128::from(gap_squares),
+        u128::from(alpha) * u128::from(alpha),
+    );
+    (k * g - a2) as f64 / (k * a2) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{solve_mg, GridSpec, PadRing};
+
+    /// The float proxy over the slot coordinates `(slot + 0.5) / α`.
+    fn float_score(slots: &[u64], alpha: u64) -> f64 {
+        let ts: Vec<f64> = slots
+            .iter()
+            .map(|&s| (s as f64 + 0.5) / alpha as f64)
+            .collect();
+        PadSpacingProxy::new(&ts).unwrap().delta_ir()
+    }
+
+    #[test]
+    fn slot_scores_follow_the_float_proxy() {
+        for (slots, alpha) in [
+            (&[0u64][..], 1u64),
+            (&[3], 10),
+            (&[0, 5], 10),
+            (&[1, 2, 9], 12),
+            (&[0, 1, 2, 3], 40),
+            (&[7, 130, 131, 600, 999], 1000),
+        ] {
+            let exact = slot_delta_ir(slot_gap_squares(slots, alpha), slots.len() as u64, alpha);
+            let float = float_score(slots, alpha);
+            assert!(
+                (exact - float).abs() <= 1e-12 * float.max(1e-12),
+                "{slots:?} of {alpha}: {exact:e} vs {float:e}"
+            );
+        }
+        // Uniform rings score exactly zero, and one pad has one gap.
+        assert_eq!(slot_delta_ir(slot_gap_squares(&[1, 4, 7], 9), 3, 9), 0.0);
+        assert_eq!(slot_gap_squares(&[4], 9), 81);
+        assert_eq!(slot_gap_squares(&[], 9), 0);
+        assert_eq!(slot_delta_ir(0, 0, 9), 0.0);
+    }
+
+    #[test]
+    fn slot_scores_are_order_free_and_tie_exactly() {
+        // Mirror images of a ring are equal in exact arithmetic.
+        let a = slot_delta_ir(slot_gap_squares(&[0, 2, 3], 10), 3, 10);
+        let b = slot_delta_ir(slot_gap_squares(&[9, 7, 6], 10), 3, 10);
+        assert_eq!(a.to_bits(), b.to_bits());
+        // The u128 path for very wide rings agrees with the identity.
+        let alpha = 1u64 << 22;
+        let g = slot_gap_squares(&[0, alpha / 2], alpha);
+        assert_eq!(slot_delta_ir(g, 2, alpha), 0.0);
+        let g = slot_gap_squares(&[0, 1], alpha);
+        let want = (2.0 * g as f64 - (alpha as f64).powi(2)) / (2.0 * (alpha as f64).powi(2));
+        assert!((slot_delta_ir(g, 2, alpha) - want).abs() <= 1e-15);
+    }
 
     #[test]
     fn uniform_ring_scores_zero() {

@@ -247,7 +247,7 @@ pub fn check_density_conservation(quadrant: &Quadrant, config: &VerifyConfig) ->
         );
     }
     let scratch_ir = match DeltaIrTracker::new(quadrant, &replay) {
-        Ok(mut t) => t.delta_ir(),
+        Ok(t) => t.delta_ir(),
         Err(e) => return OracleReport::fail(NAME, format!("scratch Δ_IR failed: {e}")),
     };
     let incremental_ir = ir.delta_ir();

@@ -5,11 +5,14 @@ use copack::core::{
     ExchangeConfig, Schedule,
 };
 use copack::geom::{FingerIdx, NetKind, Quadrant, StackConfig, TierId};
-use copack::power::{solve_cg, solve_mg, GridSpec, PadRing, PadSpacingProxy};
+use copack::power::{
+    slot_delta_ir, slot_gap_squares, solve_cg, solve_mg, GridSpec, PadRing, PadSpacingProxy,
+};
 use copack::route::{
     density_map, exchange_range, extract_paths, is_monotonic, DensityModel, RangeCache,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Strategy: a quadrant with 1..=5 rows of 1..=8 balls, net ids shuffled,
 /// every third net a power pad. With `tiers > 1` the nets are striped
@@ -216,12 +219,13 @@ proptest! {
     }
 
     /// Replaying an arbitrary accepted/rejected move sequence through the
-    /// Δ_IR tracker reproduces the from-scratch pad-spacing proxy **bit
-    /// for bit** at every read. A rejected move is reverted with
-    /// `revert_adjacent_swap`, as the annealer does. Reads come at random
-    /// points (between a swap and its revert, after the revert, or not for
-    /// several moves), so the prefix cache is resumed from every kind of
-    /// watermark.
+    /// Δ_IR tracker reproduces the from-scratch score — the shared exact
+    /// formula over the power pads' slots — **bit for bit** at every read,
+    /// and that score lies within 1e-12 relative of the float
+    /// pad-spacing proxy over their coordinates. A rejected move is
+    /// reverted with `revert_adjacent_swap`, as the annealer does. Reads
+    /// come at random points (between a swap and its revert, after the
+    /// revert, or not for several moves).
     #[test]
     fn delta_ir_tracker_replays_match_the_proxy(
         q in quadrant_strategy(),
@@ -231,13 +235,28 @@ proptest! {
         let mut a = dfa(&q, 1).expect("dfa");
         let alpha = a.finger_count();
         prop_assume!(alpha >= 2);
-        let fresh = |a: &copack::geom::Assignment| {
-            let ts: Vec<f64> = q
+        let fresh = |a: &copack::geom::Assignment| -> Result<f64, TestCaseError> {
+            let slots: Vec<u64> = q
                 .nets_of_kind(NetKind::Power)
                 .filter_map(|n| a.position_of(n))
-                .map(|f| (f.get() as f64 - 0.5) / alpha as f64)
+                .map(|f| f.zero_based() as u64)
                 .collect();
-            PadSpacingProxy::new(&ts).expect("proxy").delta_ir()
+            let (k, alpha) = (slots.len() as u64, alpha as u64);
+            let exact = slot_delta_ir(slot_gap_squares(&slots, alpha), k, alpha);
+            let ts: Vec<f64> = slots
+                .iter()
+                .map(|&s| (s as f64 + 0.5) / alpha as f64)
+                .collect();
+            let float = PadSpacingProxy::new(&ts).expect("proxy").delta_ir();
+            // Relative, with an absolute floor for rings that are uniform
+            // in exact arithmetic (score 0, float sum ~1e-33).
+            prop_assert!(
+                (exact - float).abs() <= 1e-12 * float.max(1e-12),
+                "exact {:e} vs float {:e}",
+                exact,
+                float
+            );
+            Ok(exact)
         };
         let mut tracker = DeltaIrTracker::new(&q, &a).expect("tracker");
         for (pick, accepted, reads) in moves {
@@ -246,17 +265,17 @@ proptest! {
             tracker.apply_adjacent_swap(left);
             a.swap(left, right).expect("swap");
             if reads & 1 == 1 {
-                prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a).to_bits());
+                prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a)?.to_bits());
             }
             if !accepted {
                 tracker.revert_adjacent_swap(left);
                 a.swap(left, right).expect("swap");
             }
             if reads & 2 == 2 {
-                prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a).to_bits());
+                prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a)?.to_bits());
             }
         }
-        prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a).to_bits());
+        prop_assert_eq!(tracker.delta_ir().to_bits(), fresh(&a)?.to_bits());
     }
 
     /// A [`RangeCache`] refreshed only via `note_moved` on accepted moves
