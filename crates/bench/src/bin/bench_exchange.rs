@@ -9,6 +9,19 @@
 //! untimed warm-up each); moves/second and the speedup come from the
 //! medians. The file also records the host's core count.
 //!
+//! Each repetition also times the host reference
+//! ([`copack_bench::host_reference_seconds`]), a fixed loop that calls no
+//! copack code. The file records its spread over the whole run, and each
+//! row's `host_ratio`: the kernel's median over the median of the
+//! reference loops timed in that row's repetitions. Host speed cancels in
+//! the ratio, so two commits' files compare ratio to ratio.
+//!
+//! The `scaling` block is the O(1)-proposal gate: the kernel alone on
+//! large-1k and large-4k at the default schedule, in interleaved rounds.
+//! The run asserts that the median over rounds of (4k ns per proposal ÷
+//! 1k ns per proposal) is at most 1.10: a proposal must not get dearer
+//! as the quadrant grows.
+//!
 //! The runs are strictly serial — concurrent timing on a shared machine
 //! would corrupt the numbers.
 //!
@@ -16,7 +29,7 @@
 
 use std::fmt::Write as _;
 
-use copack_bench::{host_cores, timed, Spread};
+use copack_bench::{host_cores, host_reference_seconds, timed, Spread};
 use copack_core::{
     dfa, exchange, exchange_reference, exchange_traced, ExchangeConfig, ExchangeResult, Schedule,
 };
@@ -33,6 +46,14 @@ const LARGE_REPS: usize = 9;
 
 /// Interleaved untraced/traced pairs of the telemetry measurement.
 const TELEMETRY_REPS: usize = 30;
+
+/// Interleaved rounds of the scaling gate (one large-1k and one large-4k
+/// kernel run each, at the default schedule).
+const SCALING_ROUNDS: usize = 7;
+
+/// The scaling gate: the median ratio of large-4k to large-1k ns per
+/// proposal may not exceed this.
+const SCALING_GATE: f64 = 1.10;
 
 /// The spread of one configuration's timed runs.
 struct Timing {
@@ -65,16 +86,18 @@ fn json_timing(out: &mut String, key: &str, t: &Timing) {
 }
 
 /// Times the kernel and the reference on one configuration: one untimed
-/// warm-up each, then `reps` interleaved pairs. Every run must return
-/// the same result — the benchmark doubles as an end-to-end equivalence
-/// check on real circuit sizes.
+/// warm-up each, then `reps` interleaved rounds of kernel, reference and
+/// host reference. Every run must return the same result — the benchmark
+/// doubles as an end-to-end equivalence check on real circuit sizes.
+/// Returns the kernel's and the reference's timings and the host
+/// reference's seconds.
 fn bench_pair(
     quadrant: &Quadrant,
     initial: &Assignment,
     stack: &StackConfig,
     config: &ExchangeConfig,
     reps: usize,
-) -> (Timing, Timing) {
+) -> (Timing, Timing, Vec<f64>) {
     let kernel = || exchange(quadrant, initial, stack, config).expect("kernel runs");
     let reference =
         || exchange_reference(quadrant, initial, stack, config).expect("reference runs");
@@ -85,7 +108,9 @@ fn bench_pair(
         "kernel diverged from the reference implementation"
     );
     let (mut inc, mut slow) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let mut host = Vec::with_capacity(reps);
     for _ in 0..reps {
+        host.push(host_reference_seconds());
         let (seconds, result) = timed(kernel);
         assert_eq!(result, expected, "kernel runs differ");
         inc.push(seconds);
@@ -97,12 +122,32 @@ fn bench_pair(
         slow.push(seconds);
     }
     let moves = expected.stats.proposed;
-    (Timing::of(inc, moves), Timing::of(slow, moves))
+    (Timing::of(inc, moves), Timing::of(slow, moves), host)
+}
+
+/// A timed row: its kernel and reference timings, and the host
+/// reference's seconds in the same rounds.
+struct Row<'a> {
+    name: &'a str,
+    psi: u8,
+    nets: usize,
+    inc: Timing,
+    reference: Timing,
+    host: Vec<f64>,
 }
 
 /// One `circuits` entry of the JSON, echoed to the console.
-fn row(name: &str, psi: u8, nets: usize, inc: &Timing, reference: &Timing) -> String {
+fn row(r: &Row) -> String {
+    let Row {
+        name,
+        psi,
+        nets,
+        inc,
+        reference,
+        ..
+    } = r;
     let speedup = reference.spread.median / inc.spread.median.max(1e-12);
+    let host_ratio = inc.spread.median / Spread::of(r.host.clone()).median;
     let mut entry = String::new();
     let _ = write!(
         entry,
@@ -111,7 +156,10 @@ fn row(name: &str, psi: u8, nets: usize, inc: &Timing, reference: &Timing) -> St
     json_timing(&mut entry, "incremental", inc);
     entry.push_str(", ");
     json_timing(&mut entry, "reference", reference);
-    let _ = write!(entry, ", \"speedup\": {speedup:.2}}}");
+    let _ = write!(
+        entry,
+        ", \"speedup\": {speedup:.2}, \"host_ratio\": {host_ratio:.4}}}"
+    );
     println!(
         "{name} psi={psi}: incremental {:.1} moves/s ({:.1} ns/move, median of {}), \
          reference {:.1} moves/s ({speedup:.2}x)",
@@ -139,6 +187,7 @@ fn main() {
     let cores = host_cores();
 
     let mut entries: Vec<String> = Vec::new();
+    let mut host: Vec<f64> = Vec::new();
     for circuit in circuits() {
         for psi in [1u8, 4] {
             let (c, stack) = if psi == 1 {
@@ -150,18 +199,30 @@ fn main() {
             };
             let quadrant = c.build_quadrant().expect("circuit builds");
             let initial = dfa(&quadrant, 1).expect("dfa");
-            let (inc, reference) = bench_pair(&quadrant, &initial, &stack, &config, CIRCUIT_REPS);
-            let nets = quadrant.net_count();
-            entries.push(row(&circuit.name, psi, nets, &inc, &reference));
+            let (inc, reference, seconds) =
+                bench_pair(&quadrant, &initial, &stack, &config, CIRCUIT_REPS);
+            entries.push(row(&Row {
+                name: &circuit.name,
+                psi,
+                nets: quadrant.net_count(),
+                inc,
+                reference,
+                host: seconds.clone(),
+            }));
+            host.extend(seconds);
         }
     }
 
-    bench_large(&mut entries);
+    bench_large(&mut entries, &mut host);
+
+    let scaling = bench_scaling(&mut host);
 
     let telemetry = bench_telemetry(&config);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"exchange\",\n  \"cores\": {cores},\n  \"circuits\": [\n{}\n  ],\n{telemetry}}}\n",
+        "{{\n  \"benchmark\": \"exchange\",\n  \"cores\": {cores},\n  \"host_reference\": {{{}}},\n  \
+         \"circuits\": [\n{}\n  ],\n{scaling}{telemetry}}}\n",
+        Spread::of(host).json_fields(),
         entries.join(",\n")
     );
     std::fs::write("BENCH_exchange.json", &json).expect("write BENCH_exchange.json");
@@ -178,7 +239,7 @@ fn main() {
 /// The schedule is deliberately starved (one move per temperature per
 /// finger, fast cooling) to bound the reference's wall time; both
 /// kernels run the identical trajectory, so the ratio is unaffected.
-fn bench_large(entries: &mut Vec<String>) {
+fn bench_large(entries: &mut Vec<String>, host: &mut Vec<f64>) {
     let config = ExchangeConfig {
         schedule: Schedule {
             moves_per_temp_per_finger: 1,
@@ -193,7 +254,8 @@ fn bench_large(entries: &mut Vec<String>) {
         let stack = spec.stack().expect("valid stack");
         let quadrant = spec.build_quadrant().expect("instance builds");
         let initial = dfa(&quadrant, 1).expect("dfa");
-        let (inc, reference) = bench_pair(&quadrant, &initial, &stack, &config, LARGE_REPS);
+        let (inc, reference, seconds) =
+            bench_pair(&quadrant, &initial, &stack, &config, LARGE_REPS);
         let (inc_rate, ref_rate) = (inc.moves_per_sec(), reference.moves_per_sec());
         assert!(
             inc_rate >= 1.5 * ref_rate,
@@ -201,9 +263,102 @@ fn bench_large(entries: &mut Vec<String>) {
              over the reference at {ref_rate:.1} moves/s",
             spec.name
         );
-        let nets = quadrant.net_count();
-        entries.push(row(&spec.name, spec.tiers, nets, &inc, &reference));
+        entries.push(row(&Row {
+            name: &spec.name,
+            psi: spec.tiers,
+            nets: quadrant.net_count(),
+            inc,
+            reference,
+            host: seconds.clone(),
+        }));
+        host.extend(seconds);
     }
+}
+
+/// The O(1)-proposal gate: the kernel alone on large-1k and large-4k at
+/// the default schedule, one run of each (and one host reference) per
+/// round after one untimed round. Each round gives a ratio of 4k to 1k ns
+/// per proposal; the run asserts the median ratio is at most
+/// [`SCALING_GATE`]. Every run of a size must return the same result.
+fn bench_scaling(host: &mut Vec<f64>) -> String {
+    let config = ExchangeConfig::default();
+    let cases: Vec<(String, Quadrant, Assignment, StackConfig)> = ["1k", "4k"]
+        .into_iter()
+        .map(|size| {
+            let spec = large_circuit(size, 42).expect("preset name");
+            let quadrant = spec.build_quadrant().expect("instance builds");
+            let initial = dfa(&quadrant, 1).expect("dfa");
+            (
+                spec.name.clone(),
+                quadrant,
+                initial,
+                spec.stack().expect("valid stack"),
+            )
+        })
+        .collect();
+    let mut expected: Vec<Option<ExchangeResult>> = vec![None, None];
+    let mut seconds: [Vec<f64>; 2] = Default::default();
+    let mut ratios = Vec::with_capacity(SCALING_ROUNDS);
+    let mut rounds_host = Vec::with_capacity(SCALING_ROUNDS);
+    for round in 0..=SCALING_ROUNDS {
+        let host_seconds = host_reference_seconds();
+        let mut ns_per_proposal = [0.0f64; 2];
+        for (i, (name, quadrant, initial, stack)) in cases.iter().enumerate() {
+            let (elapsed, result) =
+                timed(|| exchange(quadrant, initial, stack, &config).expect("kernel runs"));
+            ns_per_proposal[i] = elapsed * 1e9 / result.stats.proposed.max(1) as f64;
+            match &expected[i] {
+                Some(first) => assert_eq!(&result, first, "{name}: kernel runs differ"),
+                None => expected[i] = Some(result),
+            }
+            // Round 0 is the warm-up.
+            if round > 0 {
+                seconds[i].push(elapsed);
+            }
+        }
+        if round > 0 {
+            ratios.push(ns_per_proposal[1] / ns_per_proposal[0]);
+            rounds_host.push(host_seconds);
+        }
+    }
+    let ratio = Spread::of(ratios.clone()).median;
+    let mut block =
+        format!("  \"scaling\": {{\"schedule\": \"default\", \"rounds\": {SCALING_ROUNDS}, ");
+    for ((name, ..), (times, result)) in cases.iter().zip(seconds.into_iter().zip(&expected)) {
+        let timing = Timing::of(times, result.as_ref().expect("ran").stats.proposed);
+        let ns = timing.spread.median * 1e9 / timing.moves.max(1) as f64;
+        let host_ratio = timing.spread.median / Spread::of(rounds_host.clone()).median;
+        println!(
+            "{name} default schedule: {ns:.1} ns/proposal (median of {SCALING_ROUNDS}), \
+             {:.1} moves/s",
+            timing.moves_per_sec()
+        );
+        json_timing(&mut block, name, &timing);
+        let _ = write!(
+            block,
+            ", \"{name}_ns_per_proposal\": {ns:.1}, \"{name}_host_ratio\": {host_ratio:.4}, "
+        );
+    }
+    let _ = writeln!(
+        block,
+        "\"ratio_4k_1k\": {ratio:.3}, \"round_ratios\": [{}], \"gate\": {SCALING_GATE:.2}}},",
+        ratios
+            .iter()
+            .map(|r| format!("{r:.3}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    host.extend(rounds_host);
+    println!(
+        "scaling: large-4k / large-1k ns per proposal, median of {SCALING_ROUNDS} rounds: \
+         {ratio:.3} (gate {SCALING_GATE:.2})"
+    );
+    assert!(
+        ratio <= SCALING_GATE,
+        "a large-4k proposal costs {ratio:.3}x a large-1k one, above the \
+         {SCALING_GATE:.2}x gate: proposals are not O(1)"
+    );
+    block
 }
 
 /// Measures the telemetry overhead on the largest circuit (Table 1

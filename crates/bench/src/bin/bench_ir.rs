@@ -9,12 +9,17 @@
 //! co-design flow's IR step. The file also records the host's core count.
 //!
 //! The rows are timed round-robin, one solve per row per round after one
-//! untimed round, so host drift spreads over every row alike. Each ring's
-//! solve must reproduce, bit for bit, the IR drop the flow reported.
+//! untimed round, so host drift spreads over every row alike. Each round
+//! also times the host reference ([`copack_bench::host_reference_seconds`],
+//! a fixed loop that calls no copack code); the file records its spread,
+//! and each row's and the pooled rings' `host_ratio`, median over the host
+//! reference's median. Host speed cancels in the ratio, so two commits'
+//! files compare ratio to ratio. Each ring's solve must reproduce, bit for
+//! bit, the IR drop the flow reported.
 //!
 //! Run with `cargo run --release -p copack-bench --bin bench_ir`.
 
-use copack_bench::{host_cores, timed, Spread};
+use copack_bench::{host_cores, host_reference_seconds, timed, Spread};
 use copack_core::Codesign;
 use copack_gen::circuits;
 use copack_geom::{Assignment, NetKind, Quadrant};
@@ -114,7 +119,12 @@ fn main() {
     });
 
     let mut samples = vec![Vec::with_capacity(ROUNDS); cases.len()];
+    let mut host = Vec::with_capacity(ROUNDS);
     for round in 0..=ROUNDS {
+        let host_seconds = host_reference_seconds();
+        if round > 0 {
+            host.push(host_seconds);
+        }
         for (case, times) in cases.iter().zip(&mut samples) {
             let (seconds, map) = timed(|| solve_mg(&case.grid, &case.ring).expect("solves"));
             std::hint::black_box(map);
@@ -126,6 +136,7 @@ fn main() {
     }
 
     let pooled = Spread::of(samples[..rings].concat());
+    let host = Spread::of(host);
     let mut rows = Vec::new();
     for (case, times) in cases.iter().zip(samples) {
         let spread = Spread::of(times);
@@ -139,12 +150,14 @@ fn main() {
             spread.p90 * 1e6,
         );
         rows.push(format!(
-            "    {{\"name\": \"{}\", \"grid\": \"{}x{}\", \"pads\": {}, \"iterations\": {iters}, {}}}",
+            "    {{\"name\": \"{}\", \"grid\": \"{}x{}\", \"pads\": {}, \"iterations\": {iters}, {}, \
+             \"host_ratio\": {:.4}}}",
             case.name,
             case.grid.nx,
             case.grid.ny,
             case.ring.len(),
-            spread.json_fields()
+            spread.json_fields(),
+            spread.median / host.median
         ));
     }
     println!(
@@ -157,8 +170,11 @@ fn main() {
     let cores = host_cores();
     let json = format!(
         "{{\n  \"benchmark\": \"ir\",\n  \"solver\": \"solve_mg\",\n  \"cores\": {cores},\n  \
-         \"table1_rings\": {{\"rings\": {rings}, {}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"host_reference\": {{{}}},\n  \
+         \"table1_rings\": {{\"rings\": {rings}, {}, \"host_ratio\": {:.4}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        host.json_fields(),
         pooled.json_fields(),
+        pooled.median / host.median,
         rows.join(",\n")
     );
     std::fs::write("BENCH_ir.json", &json).expect("write BENCH_ir.json");

@@ -12,6 +12,7 @@ mod reports;
 pub use reports::{fig5_report, margin_report, table2_report, table3_report};
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// A plain-text table printer that mimics the paper's layout: a header row,
@@ -174,6 +175,50 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64(), result)
 }
 
+/// Wall seconds of one run of the host reference: a fixed workload that
+/// calls no copack code, so its time moves only with the host's speed.
+///
+/// A shared host can run the same binary up to 2× faster or slower from
+/// one run to the next. A bench that times this beside its rows, in the
+/// same rounds, can record each row as a ratio to it, and two commits'
+/// files then compare ratio to ratio. The workload has the two shapes the
+/// timed code has: relaxation sweeps over a 48×48 grid (the IR solve's)
+/// and dependent updates of a small integer table (the exchange's), about
+/// a millisecond or two in all.
+#[must_use]
+pub fn host_reference_seconds() -> f64 {
+    timed(|| black_box(host_reference())).0
+}
+
+/// The host reference's work; returns a value that depends on all of it.
+fn host_reference() -> u64 {
+    const SIDE: usize = 48;
+    let mut grid = vec![0.0f64; SIDE * SIDE];
+    for _ in 0..100 {
+        for r in 1..SIDE - 1 {
+            for c in 1..SIDE - 1 {
+                let i = r * SIDE + c;
+                let around = grid[i - SIDE] + grid[i + SIDE] + grid[i - 1] + grid[i + 1];
+                grid[i] = 0.25 * (around + 1e-3);
+            }
+        }
+    }
+    const TABLE: usize = 4096;
+    let mut table = vec![0u32; TABLE];
+    let mut x = 0x2545_f491u32;
+    for _ in 0..300_000 {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        let i = x as usize % TABLE;
+        table[i] = table[i].wrapping_add(x) ^ table[(i + 1) % TABLE];
+    }
+    let sum = table
+        .iter()
+        .fold(0u64, |a, &v| a.wrapping_add(u64::from(v)));
+    grid[SIDE * SIDE / 2].to_bits() ^ sum
+}
+
 /// The host's core count, which every `BENCH_*.json` records.
 #[must_use]
 pub fn host_cores() -> usize {
@@ -229,6 +274,12 @@ mod tests {
             Spread::of(vec![0.25, 0.125]).json_fields(),
             "\"reps\": 2, \"min_s\": 0.125000, \"median_s\": 0.250000, \"p90_s\": 0.250000"
         );
+    }
+
+    #[test]
+    fn host_reference_is_fixed_work() {
+        assert_eq!(host_reference(), host_reference());
+        assert!(host_reference_seconds() > 0.0);
     }
 
     #[test]
