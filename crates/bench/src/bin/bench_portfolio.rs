@@ -9,11 +9,19 @@
 //! Writes the curves to `BENCH_portfolio.json` for tracking across
 //! commits.
 //!
+//! Every configuration runs once untimed and [`REPS`] times timed; the
+//! file records the spread of its wall seconds (reps, min, median, p90)
+//! and the host's core count, and the thread crossover compares medians.
+//! Every run of a configuration must return the same winner. The run
+//! records every configuration before it checks the quality gates, so a
+//! failing run still writes the file, then exits non-zero naming each
+//! broken gate.
+//!
 //! Run with `cargo run --release -p copack-bench --bin bench_portfolio`.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use copack_bench::{host_cores, repeat_timed, Spread};
 use copack_core::{
     assign, exchange_portfolio, AssignMethod, ExchangeConfig, PortfolioConfig, PortfolioMode,
     Schedule,
@@ -27,6 +35,9 @@ const WIDTHS: [u32; 4] = [1, 2, 4, 8];
 
 /// Worker counts for the wall-clock sweep (at the widest portfolio).
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Timed runs per configuration, after one untimed run.
+const REPS: usize = 5;
 
 /// A deliberately starved schedule: with this little annealing budget a
 /// single start routinely stalls in a local minimum, which is exactly
@@ -72,43 +83,73 @@ const MODES: [PortfolioMode; 3] = [
     PortfolioMode::Temper,
 ];
 
-/// One portfolio run's measurements.
+/// One portfolio configuration's measurements.
 struct Sample {
     starts: u32,
     threads: usize,
     winner_start: u32,
     cost: f64,
     pruned: usize,
-    wall_seconds: f64,
+    wall: Spread,
 }
 
+/// Runs `portfolio` [`REPS`] times after one untimed run; every run must
+/// return the same winner.
 fn run_portfolio(
     quadrant: &Quadrant,
     initial: &Assignment,
     stack: &StackConfig,
     config: &ExchangeConfig,
-    starts: u32,
-    threads: usize,
+    portfolio: &PortfolioConfig,
 ) -> Sample {
-    let portfolio = PortfolioConfig {
-        starts,
-        threads,
-        ..PortfolioConfig::default()
-    };
-    let t = Instant::now();
-    let won =
-        exchange_portfolio(quadrant, initial, stack, config, &portfolio).expect("portfolio runs");
+    let mut first = None;
+    let (wall, won) = repeat_timed(REPS, || {
+        let won = exchange_portfolio(quadrant, initial, stack, config, portfolio)
+            .expect("portfolio runs");
+        let winner = (won.winner_start, won.result.assignment.clone());
+        assert_eq!(
+            first.get_or_insert_with(|| winner.clone()),
+            &winner,
+            "portfolio runs differ"
+        );
+        won
+    });
     Sample {
-        starts,
-        threads,
+        starts: portfolio.starts,
+        threads: portfolio.threads,
         winner_start: won.winner_start,
         cost: won.result.stats.final_cost,
         pruned: won.pruned(),
-        wall_seconds: t.elapsed().as_secs_f64(),
+        wall,
     }
 }
 
-/// Runs the three cooperation modes at an equal move budget and asserts
+/// The width and thread sweeps' portfolio: `starts` starts on `threads`
+/// workers, the rest at the defaults.
+fn width(starts: u32, threads: usize) -> PortfolioConfig {
+    PortfolioConfig {
+        starts,
+        threads,
+        ..PortfolioConfig::default()
+    }
+}
+
+/// The quality gates a run has broken so far; checked only after the
+/// file is written.
+#[derive(Default)]
+struct Gates(Vec<String>);
+
+impl Gates {
+    fn check(&mut self, holds: bool, failure: impl FnOnce() -> String) {
+        if !holds {
+            let failure = failure();
+            println!("GATE FAILED: {failure}");
+            self.0.push(failure);
+        }
+    }
+}
+
+/// Runs the three cooperation modes at an equal move budget and checks
 /// the never-worse gate: `coop` and `temper` winner costs must not
 /// exceed `race`'s on the same instance, schedule, and seed. `template`
 /// carries the portfolio shape (starts, sync epochs, ladder ratio); the
@@ -120,6 +161,7 @@ fn mode_sweep(
     stack: &StackConfig,
     config: &ExchangeConfig,
     template: &PortfolioConfig,
+    gates: &mut Gates,
 ) -> Vec<Sample> {
     let sweep: Vec<Sample> = MODES
         .iter()
@@ -129,31 +171,21 @@ fn mode_sweep(
                 threads: 1,
                 ..*template
             };
-            let t = Instant::now();
-            let won = exchange_portfolio(quadrant, initial, stack, config, &portfolio)
-                .expect("portfolio runs");
-            Sample {
-                starts: template.starts,
-                threads: 1,
-                winner_start: won.winner_start,
-                cost: won.result.stats.final_cost,
-                pruned: won.pruned(),
-                wall_seconds: t.elapsed().as_secs_f64(),
-            }
+            run_portfolio(quadrant, initial, stack, config, &portfolio)
         })
         .collect();
     let race = sweep[0].cost;
-    // ULP headroom, not a quality band: equal-quality plans reached via
-    // different accept orders re-accumulate the λ-weighted Δ_IR term in
-    // a different order, so ties can differ in the cost's last bits.
+    // ULP headroom, not a quality band. The Δ_IR term is exact, so plans
+    // equal in exact arithmetic already score bit-equal.
     let gate = race * (1.0 + 1e-12);
     for (mode, sample) in MODES.iter().zip(&sweep).skip(1) {
-        assert!(
-            sample.cost <= gate,
-            "{name}: {} winner ({:.17e}) lost to race ({race:.17e}) at an equal move budget",
-            mode.as_str(),
-            sample.cost
-        );
+        gates.check(sample.cost <= gate, || {
+            format!(
+                "{name}: {} winner ({:.17e}) lost to race ({race:.17e}) at an equal move budget",
+                mode.as_str(),
+                sample.cost
+            )
+        });
     }
     sweep
 }
@@ -167,7 +199,7 @@ fn json_mode_sweep(out: &mut String, template: &PortfolioConfig, sweep: &[Sample
         let _ = write!(
             out,
             "{{\"mode\": \"{}\", \"starts\": {}, \"sync_epochs\": {}, \"kick_size\": {}, \
-             \"ladder_ratio\": {}, \"cost\": {:.6}, \"pruned\": {}, \"wall_seconds\": {:.6}}}",
+             \"ladder_ratio\": {}, \"cost\": {:.6}, \"pruned\": {}, \"wall\": {{{}}}}}",
             mode.as_str(),
             s.starts,
             template.sync_epochs,
@@ -175,7 +207,7 @@ fn json_mode_sweep(out: &mut String, template: &PortfolioConfig, sweep: &[Sample
             template.ladder_ratio,
             s.cost,
             s.pruned,
-            s.wall_seconds
+            s.wall.json_fields()
         );
     }
     out.push(']');
@@ -185,18 +217,22 @@ fn json_sample(out: &mut String, sample: &Sample) {
     let _ = write!(
         out,
         "{{\"starts\": {}, \"threads\": {}, \"winner_start\": {}, \"cost\": {:.6}, \
-         \"pruned\": {}, \"wall_seconds\": {:.6}}}",
+         \"pruned\": {}, \"wall\": {{{}}}}}",
         sample.starts,
         sample.threads,
         sample.winner_start,
         sample.cost,
         sample.pruned,
-        sample.wall_seconds
+        sample.wall.json_fields()
     );
 }
 
 fn main() {
-    let mut json = String::from("{\n  \"benchmark\": \"portfolio\",\n  \"circuits\": [\n");
+    let mut gates = Gates::default();
+    let mut json = format!(
+        "{{\n  \"benchmark\": \"portfolio\",\n  \"cores\": {},\n  \"circuits\": [\n",
+        host_cores()
+    );
     // Circuits run serially so the wall-clock sweep measures the
     // portfolio's own threading, not cross-circuit contention.
     for (i, circuit) in circuits().iter().enumerate() {
@@ -212,21 +248,18 @@ fn main() {
                     &initial,
                     &StackConfig::planar(),
                     &bench_config(),
-                    k,
-                    1,
+                    &width(k, 1),
                 )
             })
             .collect();
         let baseline = quality[0].cost;
         let widest = quality.last().expect("non-empty sweep");
-        assert!(
-            widest.cost <= baseline,
-            "{}: K={} winner ({:.6}) worse than single start ({:.6})",
-            &circuit.name,
-            widest.starts,
-            widest.cost,
-            baseline
-        );
+        gates.check(widest.cost <= baseline, || {
+            format!(
+                "{}: K={} winner ({:.6}) worse than single start ({:.6})",
+                &circuit.name, widest.starts, widest.cost, baseline
+            )
+        });
 
         // Wall clock vs. threads at the widest portfolio; the winner must
         // not move.
@@ -238,8 +271,7 @@ fn main() {
                     &initial,
                     &StackConfig::planar(),
                     &bench_config(),
-                    *WIDTHS.last().expect("widths"),
-                    t,
+                    &width(*WIDTHS.last().expect("widths"), t),
                 )
             })
             .collect();
@@ -266,6 +298,7 @@ fn main() {
             &StackConfig::planar(),
             &mode_config(),
             &mode_shape,
+            &mut gates,
         );
 
         println!(
@@ -277,9 +310,9 @@ fn main() {
             widest.cost,
             widest.winner_start,
             widest.pruned,
-            scaling[0].wall_seconds,
+            scaling[0].wall.median,
             scaling.last().expect("non-empty sweep").threads,
-            scaling.last().expect("non-empty sweep").wall_seconds,
+            scaling.last().expect("non-empty sweep").wall.median,
             modes[0].cost,
             modes[1].cost,
             modes[2].cost,
@@ -309,10 +342,16 @@ fn main() {
         json.push('\n');
     }
     json.push_str("  ],\n");
-    bench_large(&mut json);
+    bench_large(&mut json, &mut gates);
     json.push_str("}\n");
     std::fs::write("BENCH_portfolio.json", &json).expect("write BENCH_portfolio.json");
     println!("wrote BENCH_portfolio.json");
+    assert!(
+        gates.0.is_empty(),
+        "{} gate(s) failed:\n{}",
+        gates.0.len(),
+        gates.0.join("\n")
+    );
 }
 
 /// The industrial-scale rows the parallelism and cooperation stories
@@ -325,7 +364,7 @@ fn main() {
 /// count. Both the 1k and 4k presets then run the quality-vs-mode gate:
 /// `coop` and `temper` must not lose to `race` at an equal move budget
 /// at industrial scale either.
-fn bench_large(json: &mut String) {
+fn bench_large(json: &mut String, gates: &mut Gates) {
     // A fuller schedule than the Table 1 sweep: enough annealing per
     // start that the work, not the thread plumbing, dominates. Doubles
     // as the mode-gate schedule at this scale (deep enough for the
@@ -357,8 +396,7 @@ fn bench_large(json: &mut String) {
                         &initial,
                         &stack,
                         &config,
-                        *WIDTHS.last().expect("widths"),
-                        t,
+                        &width(*WIDTHS.last().expect("widths"), t),
                     )
                 })
                 .collect();
@@ -376,28 +414,27 @@ fn bench_large(json: &mut String) {
             // The crossover only exists where the hardware can actually
             // run the workers side by side; on a single core the same
             // sweep instead bounds the thread plumbing's overhead.
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            let cores = host_cores();
+            let (widest_s, serial_s) = (widest.wall.median, serial.wall.median);
             if cores >= 2 {
-                assert!(
-                    widest.wall_seconds < serial.wall_seconds,
-                    "{}: {} threads ({:.3} s) failed to beat 1 thread ({:.3} s) on {cores} cores",
-                    spec.name,
-                    widest.threads,
-                    widest.wall_seconds,
-                    serial.wall_seconds
-                );
+                gates.check(widest_s < serial_s, || {
+                    format!(
+                        "{}: {} threads ({widest_s:.3} s) failed to beat 1 thread \
+                         ({serial_s:.3} s) on {cores} cores",
+                        spec.name, widest.threads
+                    )
+                });
             } else {
                 println!(
                     "note: single core — asserting thread overhead is bounded, not the crossover"
                 );
-                assert!(
-                    widest.wall_seconds < serial.wall_seconds * 1.5,
-                    "{}: {} threads ({:.3} s) cost >50% over 1 thread ({:.3} s) on one core",
-                    spec.name,
-                    widest.threads,
-                    widest.wall_seconds,
-                    serial.wall_seconds
-                );
+                gates.check(widest_s < serial_s * 1.5, || {
+                    format!(
+                        "{}: {} threads ({widest_s:.3} s) cost >50% over 1 thread \
+                         ({serial_s:.3} s) on one core",
+                        spec.name, widest.threads
+                    )
+                });
             }
             println!(
                 "{}: K={} cost {:.4} (winner start {}); 1 thread {:.3} s -> {} threads {:.3} s \
@@ -406,10 +443,10 @@ fn bench_large(json: &mut String) {
                 widest.starts,
                 widest.cost,
                 widest.winner_start,
-                serial.wall_seconds,
+                serial.wall.median,
                 widest.threads,
-                widest.wall_seconds,
-                serial.wall_seconds / widest.wall_seconds.max(1e-12),
+                widest.wall.median,
+                serial.wall.median / widest.wall.median.max(1e-12),
             );
             scaling
         });
@@ -434,6 +471,7 @@ fn bench_large(json: &mut String) {
             &stack,
             &config,
             &mode_shape,
+            gates,
         );
         println!(
             "{}: race {:.4} / coop {:.4} / temper {:.4} at K=8",

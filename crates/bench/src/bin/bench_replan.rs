@@ -18,35 +18,29 @@
 //! the measured replan speedup holds at least 5× — a regression gate
 //! on the warm path, not a scoreboard.
 //!
+//! Each quantity is timed over one untimed and five timed runs, and the
+//! file records every spread (reps, min, median, p90) and the host's core
+//! count. The gate reads the minimums: a scheduler stall can only inflate
+//! a sample, never deflate it, so the fastest run is the closest to the
+//! code's true cost and a single noisy sample cannot swing the gate.
+//!
 //! The runs are strictly serial — concurrent timing on a shared
 //! machine would corrupt the numbers. Results go to `BENCH_replan.json`.
 //!
 //! Run with `cargo run --release -p copack-bench --bin bench_replan`.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use copack_bench::{host_cores, repeat_timed, Spread};
 use copack_core::{
     cancelling_delta, dfa, exchange, exchange_warm, CancelToken, ExchangeConfig, Schedule,
 };
 use copack_gen::{churn, large_circuit, STANDARD_CHURN};
 use copack_obs::NoopRecorder;
 
-/// Times `f` with one warm-up invocation then `runs` individually
-/// timed ones, returning (minimum seconds, last value). The minimum —
-/// not the average — is the estimator: a scheduler stall can only
-/// inflate a sample, never deflate it, so the fastest run is the
-/// closest to the code's true cost and the gate cannot be swung by a
-/// single noisy sample on a shared machine.
-fn timed<T>(runs: usize, f: impl Fn() -> T) -> (f64, T) {
-    let mut value = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        value = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, value)
+/// One timed quantity's JSON object.
+fn json_spread(key: &str, spread: &Spread) -> String {
+    format!("\"{key}\": {{{}}}", spread.json_fields())
 }
 
 fn main() {
@@ -81,9 +75,10 @@ fn main() {
         // and its winner is the `prev` plan the replan warm-starts
         // from.
         let initial = dfa(&quadrant, 1).expect("dfa");
-        let (clean_seconds, previous) = timed(runs, || {
+        let (clean, previous) = repeat_timed(runs, || {
             exchange(&quadrant, &initial, &stack, &config).expect("cold anneal runs")
         });
+        let clean_seconds = clean.min;
 
         // The ECO batch dirties exactly one quadrant under the standard
         // churn, and resubmits a second with a delta whose edits cancel
@@ -95,20 +90,21 @@ fn main() {
         // Cold replan: every quadrant re-anneals from scratch — the
         // edited one plus the three untouched ones.
         let dirty_initial = dfa(&edited, 1).expect("dfa on the edited instance");
-        let (dirty_seconds, scratch) = timed(runs, || {
+        let (dirty, scratch) = repeat_timed(runs, || {
             exchange(&edited, &dirty_initial, &stack, &config).expect("cold dirty anneal runs")
         });
-        let cold_seconds = dirty_seconds + (QUADRANTS - 1.0) * clean_seconds;
+        let cold_seconds = dirty.min + (QUADRANTS - 1.0) * clean_seconds;
 
         // Incremental replan: the untouched quadrants answer from the
         // cache (zero annealer work), the no-op resubmission is
         // dismissed by one equivalence check, and only the dirty one
         // warm-starts.
-        let (noop_seconds, noop_detected) = timed(runs, || {
+        let (noop_check, noop_detected) = repeat_timed(runs, || {
             noop.is_noop_for(&quadrant).expect("no-op check runs")
         });
+        let noop_seconds = noop_check.min;
         assert!(noop_detected, "the cancelling delta must read as a no-op");
-        let (anneal_seconds, warm) = timed(runs, || {
+        let (anneal, warm) = repeat_timed(runs, || {
             exchange_warm(
                 &edited,
                 &previous.assignment,
@@ -119,7 +115,7 @@ fn main() {
             )
             .expect("warm replan runs")
         });
-        let warm_seconds = anneal_seconds + noop_seconds;
+        let warm_seconds = anneal.min + noop_seconds;
 
         // The warm path is seeded and repair is pure: a second run must
         // reproduce the first bit for bit.
@@ -156,17 +152,22 @@ fn main() {
              \"cold_seconds\": {cold_seconds:.6}, \"warm_seconds\": {warm_seconds:.6}, \
              \"noop_check_seconds\": {noop_seconds:.6}, \
              \"speedup\": {speedup:.2}, \"cost_ratio\": {cost_ratio:.4}, \
-             \"deterministic\": true}}",
+             \"deterministic\": true, \"spreads\": {{{}, {}, {}, {}}}}}",
             spec.name,
-            quadrant.net_count()
+            quadrant.net_count(),
+            json_spread("cold_clean_quadrant", &clean),
+            json_spread("cold_dirty_quadrant", &dirty),
+            json_spread("noop_check", &noop_check),
+            json_spread("warm_anneal", &anneal)
         );
         entries.push(entry);
     }
 
     let json = format!(
         "{{\n  \"benchmark\": \"replan\",\n  \"model\": \"4-quadrant package, 1 dirty under \
-         standard churn, 1 no-op resubmission, 2 clean\",\n  \
+         standard churn, 1 no-op resubmission, 2 clean\",\n  \"cores\": {},\n  \
          \"min_speedup\": {MIN_SPEEDUP},\n  \"instances\": [\n{}\n  ]\n}}\n",
+        host_cores(),
         entries.join(",\n")
     );
     std::fs::write("BENCH_replan.json", &json).expect("write BENCH_replan.json");

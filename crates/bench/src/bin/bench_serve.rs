@@ -7,14 +7,17 @@
 //! over the warm set (steady-state jobs/sec through the reactor), and a
 //! **restart** scenario that shuts a cache-dir-backed daemon down and
 //! measures how much of the cold cost the disk tier recovers on the
-//! next boot. Writes per-scenario throughput and latency percentiles to
-//! `BENCH_serve.json` for tracking across commits.
+//! next boot. Writes per-scenario throughput and each scenario's
+//! per-submission latency spread (reps, min, median, p90, plus p99) to
+//! `BENCH_serve.json` for tracking across commits, with the host's core
+//! count.
 //!
 //! Run with `cargo run --release -p copack-bench --bin bench_serve`.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use copack_bench::{host_cores, timed, Spread};
 use copack_gen::circuits;
 use copack_io::write_quadrant;
 use copack_serve::{Client, JobSpec, PoolMetrics, ServeConfig, Server};
@@ -23,13 +26,31 @@ use copack_serve::{Client, JobSpec, PoolMetrics, ServeConfig, Server};
 struct Phase {
     jobs: usize,
     wall_seconds: f64,
-    p50_ms: f64,
+    /// Per-submission latency, in seconds.
+    latency: Spread,
     p99_ms: f64,
 }
 
 impl Phase {
+    /// A phase of `latencies` (seconds, one per submission) over
+    /// `wall_seconds`.
+    fn of(wall_seconds: f64, mut latencies: Vec<f64>) -> Self {
+        latencies.sort_by(f64::total_cmp);
+        let rank = (0.99 * (latencies.len() as f64 - 1.0)).round() as usize;
+        Self {
+            jobs: latencies.len(),
+            wall_seconds,
+            p99_ms: latencies[rank] * 1000.0,
+            latency: Spread::of(latencies),
+        }
+    }
+
     fn jobs_per_sec(&self) -> f64 {
         self.jobs as f64 / self.wall_seconds.max(1e-12)
+    }
+
+    fn p50_ms(&self) -> f64 {
+        self.latency.median * 1000.0
     }
 }
 
@@ -44,13 +65,10 @@ fn run_phase(addr: std::net::SocketAddr, specs: &[JobSpec], clients: usize) -> P
                 let lane_specs: Vec<&JobSpec> = specs.iter().skip(lane).step_by(clients).collect();
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect");
-                    let mut lane_latencies = Vec::with_capacity(lane_specs.len());
-                    for spec in lane_specs {
-                        let t = Instant::now();
-                        client.plan(spec).expect("job plans");
-                        lane_latencies.push(t.elapsed().as_secs_f64() * 1000.0);
-                    }
-                    lane_latencies
+                    lane_specs
+                        .into_iter()
+                        .map(|spec| timed(|| client.plan(spec).expect("job plans")).0)
+                        .collect::<Vec<f64>>()
                 })
             })
             .collect();
@@ -58,21 +76,7 @@ fn run_phase(addr: std::net::SocketAddr, specs: &[JobSpec], clients: usize) -> P
             latencies.extend(handle.join().expect("client thread"));
         }
     });
-    let wall_seconds = started.elapsed().as_secs_f64();
-    latencies.sort_by(f64::total_cmp);
-    let percentile = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = (p / 100.0 * (latencies.len() as f64 - 1.0)).round() as usize;
-        latencies[rank.min(latencies.len() - 1)]
-    };
-    Phase {
-        jobs: specs.len(),
-        wall_seconds,
-        p50_ms: percentile(50.0),
-        p99_ms: percentile(99.0),
-    }
+    Phase::of(started.elapsed().as_secs_f64(), latencies)
 }
 
 /// Hammers the (already warm) spec set for a fixed wall-clock window,
@@ -99,9 +103,7 @@ fn run_sustained(
                             if Instant::now() >= deadline {
                                 break 'window;
                             }
-                            let t = Instant::now();
-                            client.plan(spec).expect("job plans");
-                            lane_latencies.push(t.elapsed().as_secs_f64() * 1000.0);
+                            lane_latencies.push(timed(|| client.plan(spec).expect("job plans")).0);
                         }
                     }
                     lane_latencies
@@ -112,42 +114,27 @@ fn run_sustained(
             latencies.extend(handle.join().expect("client thread"));
         }
     });
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let jobs = latencies.len();
-    latencies.sort_by(f64::total_cmp);
-    let percentile = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = (p / 100.0 * (latencies.len() as f64 - 1.0)).round() as usize;
-        latencies[rank.min(latencies.len() - 1)]
-    };
-    Phase {
-        jobs,
-        wall_seconds,
-        p50_ms: percentile(50.0),
-        p99_ms: percentile(99.0),
-    }
+    Phase::of(started.elapsed().as_secs_f64(), latencies)
 }
 
 fn json_phase(out: &mut String, key: &str, phase: &Phase) {
     let _ = write!(
         out,
         "\"{key}\": {{\"jobs\": {}, \"wall_seconds\": {:.6}, \"jobs_per_sec\": {:.1}, \
-         \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
+         \"latency\": {{{}}}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
         phase.jobs,
         phase.wall_seconds,
         phase.jobs_per_sec(),
-        phase.p50_ms,
+        phase.latency.json_fields(),
+        phase.p50_ms(),
         phase.p99_ms
     );
 }
 
 /// The cold-vs-warm-restart measurements.
 struct Restart {
-    jobs: usize,
-    cold_wall: f64,
-    warm_wall: f64,
+    cold: Phase,
+    warm: Phase,
     disk_hits: u64,
 }
 
@@ -187,14 +174,16 @@ fn run_restart(specs: &[JobSpec], workers: usize) -> Restart {
     let daemon = std::thread::spawn(move || server.run());
     let started = Instant::now();
     let mut client = Client::connect(addr).expect("connect");
+    let mut latencies = Vec::with_capacity(specs.len());
     for spec in specs {
-        let plan = client.plan(spec).expect("restarted daemon plans");
+        let (seconds, plan) = timed(|| client.plan(spec).expect("restarted daemon plans"));
         assert_eq!(
             plan.cache, "disk",
             "a restarted daemon answers a persisted job from the disk tier"
         );
+        latencies.push(seconds);
     }
-    let warm_wall = started.elapsed().as_secs_f64();
+    let warm = Phase::of(started.elapsed().as_secs_f64(), latencies);
     client.shutdown().expect("shutdown");
     let summary = daemon
         .join()
@@ -205,9 +194,8 @@ fn run_restart(specs: &[JobSpec], workers: usize) -> Restart {
     let _ = std::fs::remove_dir_all(&dir);
 
     Restart {
-        jobs: specs.len(),
-        cold_wall: cold.wall_seconds,
-        warm_wall,
+        cold,
+        warm,
         disk_hits: metrics.disk_hits,
     }
 }
@@ -271,30 +259,16 @@ fn main() {
         "every distinct job must execute exactly once across both phases"
     );
 
-    println!(
-        "cold: {} jobs in {:.3} s ({:.1} jobs/s, p50 {:.2} ms, p99 {:.2} ms)",
-        cold.jobs,
-        cold.wall_seconds,
-        cold.jobs_per_sec(),
-        cold.p50_ms,
-        cold.p99_ms
-    );
-    println!(
-        "warm: {} jobs in {:.3} s ({:.1} jobs/s, p50 {:.2} ms, p99 {:.2} ms)",
-        warm.jobs,
-        warm.wall_seconds,
-        warm.jobs_per_sec(),
-        warm.p50_ms,
-        warm.p99_ms
-    );
-    println!(
-        "sustained: {} jobs in {:.3} s ({:.1} jobs/s, p50 {:.2} ms, p99 {:.2} ms)",
-        sustained.jobs,
-        sustained.wall_seconds,
-        sustained.jobs_per_sec(),
-        sustained.p50_ms,
-        sustained.p99_ms
-    );
+    for (name, phase) in [("cold", &cold), ("warm", &warm), ("sustained", &sustained)] {
+        println!(
+            "{name}: {} jobs in {:.3} s ({:.1} jobs/s, p50 {:.2} ms, p99 {:.2} ms)",
+            phase.jobs,
+            phase.wall_seconds,
+            phase.jobs_per_sec(),
+            phase.p50_ms(),
+            phase.p99_ms
+        );
+    }
     println!(
         "cache: {} hits, {} coalesced over {} submissions (hit-rate {:.1}%)",
         metrics.cache_hits,
@@ -307,21 +281,19 @@ fn main() {
     // the walls compare like for like).
     let restart_specs: Vec<JobSpec> = specs.iter().take(12).cloned().collect();
     let restart = run_restart(&restart_specs, workers);
+    let restart_speedup = restart.cold.wall_seconds / restart.warm.wall_seconds.max(1e-12);
     println!(
         "restart: {} jobs cold in {:.3} s, warm from disk in {:.3} s \
-         ({:.1}x speedup, {} disk hits)",
-        restart.jobs,
-        restart.cold_wall,
-        restart.warm_wall,
-        restart.cold_wall / restart.warm_wall.max(1e-12),
-        restart.disk_hits
+         ({restart_speedup:.1}x speedup, {} disk hits)",
+        restart.cold.jobs, restart.cold.wall_seconds, restart.warm.wall_seconds, restart.disk_hits
     );
 
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"benchmark\": \"serve\",\n  \"workers\": {workers}, \"clients\": {clients}, \
-         \"distinct_jobs\": {},\n  ",
+        "{{\n  \"benchmark\": \"serve\",\n  \"cores\": {},\n  \"workers\": {workers}, \
+         \"clients\": {clients}, \"distinct_jobs\": {},\n  ",
+        host_cores(),
         specs.len()
     );
     json_phase(&mut json, "cold", &cold);
@@ -331,14 +303,14 @@ fn main() {
     json_phase(&mut json, "sustained", &sustained);
     let _ = write!(
         json,
-        ",\n  \"restart\": {{\"jobs\": {}, \"cold_wall_seconds\": {:.6}, \
-         \"warm_wall_seconds\": {:.6}, \"speedup\": {:.2}, \"disk_hits\": {}}}",
-        restart.jobs,
-        restart.cold_wall,
-        restart.warm_wall,
-        restart.cold_wall / restart.warm_wall.max(1e-12),
-        restart.disk_hits
+        ",\n  \"restart\": {{\"jobs\": {}, \"speedup\": {restart_speedup:.2}, \
+         \"disk_hits\": {}, ",
+        restart.cold.jobs, restart.disk_hits
     );
+    json_phase(&mut json, "cold", &restart.cold);
+    json.push_str(", ");
+    json_phase(&mut json, "warm", &restart.warm);
+    json.push('}');
     let _ = writeln!(
         json,
         ",\n  \"cache_hits\": {}, \"coalesced\": {}, \"hit_rate\": {:.4}, \

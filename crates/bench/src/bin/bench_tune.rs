@@ -10,19 +10,23 @@
 //!
 //! Unlike the timing benches, every number here is deterministic (the
 //! tuner is seeded and thread-invariant), so the gate is exact, not
-//! statistical. Wall-clock totals are reported for context only.
-//! Results go to `BENCH_tune.json`.
+//! statistical. Each suite's wall clock is reported for context only, as
+//! the spread of one untimed and five timed tunes (reps, min, median,
+//! p90) beside the host's core count. Results go to `BENCH_tune.json`.
 //!
 //! Run with `cargo run --release -p copack-bench --bin bench_tune`.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use copack_bench::{host_cores, repeat_timed};
 use copack_core::{dfa, exchange_portfolio, ExchangeConfig, PortfolioConfig, Schedule};
 use copack_gen::{large_circuit, tune_family};
 use copack_geom::{Quadrant, StackConfig};
 use copack_io::ClassConfig;
 use copack_tune::{tune, TrialSpace, TuneOptions};
+
+/// Timed tunes per suite, after one untimed tune.
+const REPS: usize = 5;
 
 /// One class outcome as a JSON object line.
 fn class_entry(suite: &str, class: &copack_tune::ClassOutcome) -> String {
@@ -87,15 +91,15 @@ fn main() {
             )
         })
         .collect();
-    let started = Instant::now();
-    let family_report =
-        tune(&family, &TrialSpace::quick(), &TuneOptions::default()).expect("family tune runs");
-    let family_seconds = started.elapsed().as_secs_f64();
+    let (family_time, family_report) = repeat_timed(REPS, || {
+        tune(&family, &TrialSpace::quick(), &TuneOptions::default()).expect("family tune runs")
+    });
     gate("family-quick", &family_report, &mut entries);
     println!(
-        "family-quick: {} classes, {} trials, {family_seconds:.3} s",
+        "family-quick: {} classes, {} trials, {:.3} s (median of {REPS})",
         family_report.classes.len(),
-        family_report.trials
+        family_report.trials,
+        family_time.median
     );
 
     // Suite 2: the industrial large-1k instance under a fast-schedule
@@ -136,22 +140,24 @@ fn main() {
             },
         ],
     };
-    let started = Instant::now();
-    let large_report = tune(
-        &[(spec.name.clone(), quadrant, stack)],
-        &space,
-        &TuneOptions {
-            rounds: 1,
-            ..TuneOptions::default()
-        },
-    )
-    .expect("large tune runs");
-    let large_seconds = started.elapsed().as_secs_f64();
+    let large = [(spec.name.clone(), quadrant, stack)];
+    let (large_time, large_report) = repeat_timed(REPS, || {
+        tune(
+            &large,
+            &space,
+            &TuneOptions {
+                rounds: 1,
+                ..TuneOptions::default()
+            },
+        )
+        .expect("large tune runs")
+    });
     gate("large-1k-fast", &large_report, &mut entries);
     println!(
-        "large-1k-fast: {} classes, {} trials, {large_seconds:.3} s",
+        "large-1k-fast: {} classes, {} trials, {:.3} s (median of {REPS})",
         large_report.classes.len(),
-        large_report.trials
+        large_report.trials,
+        large_time.median
     );
 
     // End-to-end spot check: plan one family member the way the CLI
@@ -169,9 +175,12 @@ fn main() {
 
     let json = format!(
         "{{\n  \"benchmark\": \"tune\",\n  \"gate\": \"winner_cost <= default_cost per class\",\n  \
-         \"family_seconds\": {family_seconds:.6},\n  \"large_seconds\": {large_seconds:.6},\n  \
+         \"cores\": {},\n  \"family_seconds\": {{{}}},\n  \"large_seconds\": {{{}}},\n  \
          \"spot_check\": {{\"member\": \"{name}\", \"tuned_cost\": {tuned:.6}, \
          \"default_cost\": {default:.6}}},\n  \"classes\": [\n{}\n  ]\n}}\n",
+        host_cores(),
+        family_time.json_fields(),
+        large_time.json_fields(),
         entries.join(",\n")
     );
     std::fs::write("BENCH_tune.json", &json).expect("write BENCH_tune.json");

@@ -175,6 +175,23 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64(), result)
 }
 
+/// Runs `f` once untimed, then `reps` timed runs: their spread, and the
+/// last run's result.
+///
+/// # Panics
+///
+/// If `reps` is 0.
+pub fn repeat_timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (Spread, T) {
+    let mut result = f();
+    let mut seconds = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let (s, r) = timed(&mut f);
+        seconds.push(s);
+        result = r;
+    }
+    (Spread::of(seconds), result)
+}
+
 /// Wall seconds of one run of the host reference: a fixed workload that
 /// calls no copack code, so its time moves only with the host's speed.
 ///
@@ -274,6 +291,16 @@ mod tests {
             Spread::of(vec![0.25, 0.125]).json_fields(),
             "\"reps\": 2, \"min_s\": 0.125000, \"median_s\": 0.250000, \"p90_s\": 0.250000"
         );
+    }
+
+    #[test]
+    fn repeat_timed_warms_up_then_times_every_rep() {
+        let mut calls = 0;
+        let (spread, last) = repeat_timed(3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((spread.reps, last, calls), (3, 4, 4));
     }
 
     #[test]
