@@ -683,7 +683,7 @@ impl<'a> ExchangeDriver<'a> {
             let (a, b) = unpack(word);
             walk.slot_net.swap(a as usize - 1, b as usize - 1);
         }
-        let ids: Vec<NetId> = self.quadrant.nets().map(|n| n.id).collect();
+        let ids = self.quadrant.net_index().ids();
         let mut best = Assignment::empty(walk.slot_net.len());
         for (slot, &net) in walk.slot_net.iter().enumerate() {
             if net != NO_NET {
@@ -936,9 +936,8 @@ fn validate(
 /// Each move re-derives both exchange ranges, re-collects the power-pad
 /// slots and re-sums their squared gaps ([`slot_gap_squares`]) — `O(β)`-ish
 /// work per proposal — and clones the whole assignment on every
-/// improvement. Use it
-/// to cross-check the kernel (they are bit-identical) and as the baseline
-/// in the benches; use [`exchange`] everywhere else.
+/// improvement. Use it to cross-check the kernel (they are bit-identical)
+/// and as the baseline in the benches; use [`exchange`] everywhere else.
 ///
 /// # Errors
 ///

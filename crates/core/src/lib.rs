@@ -19,7 +19,8 @@
 //!    constraint, minimising the paper's Eq. 3:
 //!    `Cost = λ·Δ_IR + ρ·ID + φ·ω`, where
 //!    * `Δ_IR` is the fast power-pad spacing proxy
-//!      ([`copack_power::PadSpacingProxy`]),
+//!      ([`copack_power::PadSpacingProxy`]), scored on finger slots by its
+//!      exact integer form ([`copack_power::slot_delta_ir`]),
 //!    * `ID` is the increased-density penalty over the top-line sections
 //!      (Eq. 2, [`increased_density`]),
 //!    * `ω` is the stacking bonding-wire balance metric ([`omega`]).

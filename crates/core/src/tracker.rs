@@ -210,9 +210,8 @@ impl OmegaTracker {
         }
         let psi = usize::from(psi);
         let group_zeros: Vec<u32> = bits.chunks(psi).map(|g| zeros(g, psi)).collect();
-        let group_of = (0..group_zeros.len())
-            .flat_map(|g| std::iter::repeat(u32::try_from(g).expect("group fits u32")).take(psi))
-            .take(bits.len())
+        let group_of = (0..bits.len())
+            .map(|i| u32::try_from(i / psi).expect("group fits u32"))
             .collect();
         let omega = group_zeros.iter().map(|&z| u64::from(z)).sum();
         Ok(Self {
