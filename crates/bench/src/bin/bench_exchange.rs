@@ -125,29 +125,11 @@ fn bench_pair(
     (Timing::of(inc, moves), Timing::of(slow, moves), host)
 }
 
-/// A timed row: its kernel and reference timings, and the host
-/// reference's seconds in the same rounds.
-struct Row<'a> {
-    name: &'a str,
-    psi: u8,
-    nets: usize,
-    inc: Timing,
-    reference: Timing,
-    host: Vec<f64>,
-}
-
-/// One `circuits` entry of the JSON, echoed to the console.
-fn row(r: &Row) -> String {
-    let Row {
-        name,
-        psi,
-        nets,
-        inc,
-        reference,
-        ..
-    } = r;
+/// One `circuits` entry of the JSON, echoed to the console; `host` holds
+/// the host reference's seconds in the row's rounds.
+fn row(name: &str, psi: u8, nets: usize, inc: &Timing, reference: &Timing, host: &[f64]) -> String {
     let speedup = reference.spread.median / inc.spread.median.max(1e-12);
-    let host_ratio = inc.spread.median / Spread::of(r.host.clone()).median;
+    let host_ratio = inc.spread.median / Spread::of(host.to_vec()).median;
     let mut entry = String::new();
     let _ = write!(
         entry,
@@ -201,14 +183,8 @@ fn main() {
             let initial = dfa(&quadrant, 1).expect("dfa");
             let (inc, reference, seconds) =
                 bench_pair(&quadrant, &initial, &stack, &config, CIRCUIT_REPS);
-            entries.push(row(&Row {
-                name: &circuit.name,
-                psi,
-                nets: quadrant.net_count(),
-                inc,
-                reference,
-                host: seconds.clone(),
-            }));
+            let nets = quadrant.net_count();
+            entries.push(row(&circuit.name, psi, nets, &inc, &reference, &seconds));
             host.extend(seconds);
         }
     }
@@ -263,14 +239,10 @@ fn bench_large(entries: &mut Vec<String>, host: &mut Vec<f64>) {
              over the reference at {ref_rate:.1} moves/s",
             spec.name
         );
-        entries.push(row(&Row {
-            name: &spec.name,
-            psi: spec.tiers,
-            nets: quadrant.net_count(),
-            inc,
-            reference,
-            host: seconds.clone(),
-        }));
+        let nets = quadrant.net_count();
+        entries.push(row(
+            &spec.name, spec.tiers, nets, &inc, &reference, &seconds,
+        ));
         host.extend(seconds);
     }
 }
