@@ -995,11 +995,12 @@ pub fn exchange_reference_traced(
         if config.weights.lambda > 0.0 {
             // From scratch every move: the power pads' slots, their
             // integer gaps, and the shared exact formula.
-            let slots: Vec<u64> = quadrant
+            let mut slots: Vec<u32> = quadrant
                 .nets_of_kind(NetKind::Power)
                 .filter_map(|n| a.position_of(n))
-                .map(|f| f.zero_based() as u64)
+                .map(|f| f.zero_based() as u32)
                 .collect();
+            slots.sort_unstable();
             if !slots.is_empty() {
                 let g = slot_gap_squares(&slots, alpha as u64);
                 ir_term =

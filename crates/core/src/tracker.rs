@@ -322,10 +322,9 @@ impl DeltaIrTracker {
             rank_of_slot[slot as usize] = u32::try_from(rank).expect("pad rank fits u32");
         }
         let alpha = alpha as u64;
-        let wide: Vec<u64> = slots.iter().map(|&s| u64::from(s)).collect();
         Ok(Self {
             alpha,
-            gap_squares: slot_gap_squares(&wide, alpha),
+            gap_squares: slot_gap_squares(&slots, alpha),
             slots,
             rank_of_slot,
         })
@@ -438,18 +437,19 @@ mod tests {
     /// proxy over their coordinates on the way.
     fn delta_ir_from_scratch(q: &Quadrant, a: &Assignment) -> f64 {
         let alpha = a.finger_count() as u64;
-        let slots: Vec<u64> = q
+        let mut slots: Vec<u32> = q
             .nets_of_kind(copack_geom::NetKind::Power)
             .filter_map(|n| a.position_of(n))
-            .map(|f| f.zero_based() as u64)
+            .map(|f| f.zero_based() as u32)
             .collect();
         if slots.is_empty() {
             return 0.0;
         }
+        slots.sort_unstable();
         let exact = slot_delta_ir(slot_gap_squares(&slots, alpha), slots.len() as u64, alpha);
         let ts: Vec<f64> = slots
             .iter()
-            .map(|&s| (s as f64 + 0.5) / alpha as f64)
+            .map(|&s| (f64::from(s) + 0.5) / alpha as f64)
             .collect();
         let float = copack_power::PadSpacingProxy::new(&ts).unwrap().delta_ir();
         assert!((exact - float).abs() <= 1e-12 * float.max(1e-12));

@@ -78,28 +78,30 @@ impl PadSpacingProxy {
     }
 }
 
-/// `G = Σ g²` over the integer perimeter gaps of pads on distinct 0-based
-/// `slots` (any order) of an `alpha`-slot ring: the gaps between sorted
-/// neighbours, then the wrap-around gap `alpha − last + first`. One pad
-/// has the single gap `alpha`; no pads give 0.
+/// `G = Σ g²` over the integer perimeter gaps of pads on the 0-based
+/// `slots` (strictly increasing) of an `alpha`-slot ring: the gaps
+/// between neighbours, then the wrap-around gap `alpha − last + first`.
+/// One pad has the single gap `alpha`; no pads give 0.
 ///
 /// # Panics
 ///
-/// If a slot is not below `alpha`, or two slots coincide.
+/// If the slots are not strictly increasing, or a slot is not below
+/// `alpha`.
 #[must_use]
-pub fn slot_gap_squares(slots: &[u64], alpha: u64) -> u64 {
-    let mut sorted = slots.to_vec();
-    sorted.sort_unstable();
-    let (Some(&first), Some(&last)) = (sorted.first(), sorted.last()) else {
+pub fn slot_gap_squares(slots: &[u32], alpha: u64) -> u64 {
+    let (Some(&first), Some(&last)) = (slots.first(), slots.last()) else {
         return 0;
     };
-    assert!(last < alpha, "slot {last} outside a {alpha}-slot ring");
-    let wrap = alpha - last + first;
-    sorted
+    assert!(
+        u64::from(last) < alpha,
+        "slot {last} outside a {alpha}-slot ring"
+    );
+    let wrap = alpha - u64::from(last) + u64::from(first);
+    slots
         .windows(2)
         .map(|w| {
-            assert!(w[0] < w[1], "two pads on slot {}", w[0]);
-            w[1] - w[0]
+            assert!(w[0] < w[1], "slots {} and {} out of order", w[0], w[1]);
+            u64::from(w[1] - w[0])
         })
         .chain([wrap])
         .map(|g| g * g)
@@ -140,10 +142,10 @@ mod tests {
     use crate::{solve_mg, GridSpec, PadRing};
 
     /// The float proxy over the slot coordinates `(slot + 0.5) / α`.
-    fn float_score(slots: &[u64], alpha: u64) -> f64 {
+    fn float_score(slots: &[u32], alpha: u64) -> f64 {
         let ts: Vec<f64> = slots
             .iter()
-            .map(|&s| (s as f64 + 0.5) / alpha as f64)
+            .map(|&s| (f64::from(s) + 0.5) / alpha as f64)
             .collect();
         PadSpacingProxy::new(&ts).unwrap().delta_ir()
     }
@@ -151,7 +153,7 @@ mod tests {
     #[test]
     fn slot_scores_follow_the_float_proxy() {
         for (slots, alpha) in [
-            (&[0u64][..], 1u64),
+            (&[0u32][..], 1u64),
             (&[3], 10),
             (&[0, 5], 10),
             (&[1, 2, 9], 12),
@@ -173,14 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn slot_scores_are_order_free_and_tie_exactly() {
+    fn slot_scores_tie_exactly() {
         // Mirror images of a ring are equal in exact arithmetic.
         let a = slot_delta_ir(slot_gap_squares(&[0, 2, 3], 10), 3, 10);
-        let b = slot_delta_ir(slot_gap_squares(&[9, 7, 6], 10), 3, 10);
+        let b = slot_delta_ir(slot_gap_squares(&[6, 7, 9], 10), 3, 10);
         assert_eq!(a.to_bits(), b.to_bits());
         // The u128 path for very wide rings agrees with the identity.
         let alpha = 1u64 << 22;
-        let g = slot_gap_squares(&[0, alpha / 2], alpha);
+        let g = slot_gap_squares(&[0, 1 << 21], alpha);
         assert_eq!(slot_delta_ir(g, 2, alpha), 0.0);
         let g = slot_gap_squares(&[0, 1], alpha);
         let want = (2.0 * g as f64 - (alpha as f64).powi(2)) / (2.0 * (alpha as f64).powi(2));

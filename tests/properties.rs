@@ -236,16 +236,17 @@ proptest! {
         let alpha = a.finger_count();
         prop_assume!(alpha >= 2);
         let fresh = |a: &copack::geom::Assignment| -> Result<f64, TestCaseError> {
-            let slots: Vec<u64> = q
+            let mut slots: Vec<u32> = q
                 .nets_of_kind(NetKind::Power)
                 .filter_map(|n| a.position_of(n))
-                .map(|f| f.zero_based() as u64)
+                .map(|f| f.zero_based() as u32)
                 .collect();
+            slots.sort_unstable();
             let (k, alpha) = (slots.len() as u64, alpha as u64);
             let exact = slot_delta_ir(slot_gap_squares(&slots, alpha), k, alpha);
             let ts: Vec<f64> = slots
                 .iter()
-                .map(|&s| (s as f64 + 0.5) / alpha as f64)
+                .map(|&s| (f64::from(s) + 0.5) / alpha as f64)
                 .collect();
             let float = PadSpacingProxy::new(&ts).expect("proxy").delta_ir();
             // Relative, with an absolute floor for rings that are uniform
