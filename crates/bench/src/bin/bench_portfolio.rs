@@ -56,13 +56,11 @@ fn bench_config() -> ExchangeConfig {
 }
 
 /// The schedule for the quality-vs-mode sweep. Deeper than the starved
-/// width sweep on purpose: parallel tempering spends most of its rungs
-/// holding the ladder's hotter temperatures, so on a one-shot starved
-/// ramp it has a single effective cold trajectory and structurally
-/// trails `race`'s K independent anneals. The paper-style claim the
-/// mode gate pins — cooperation never loses at an equal move budget —
-/// is about schedules deep enough for the ladder (and `coop`'s
-/// crossover respawns) to actually mix.
+/// width sweep on purpose: on a one-shot starved ramp the hot rungs of
+/// a tempering ladder have only a few steps to cool in. The paper-style
+/// claim the mode gate pins — cooperation never loses at an equal move
+/// budget — is about schedules deep enough for the ladder (and
+/// `coop`'s crossover respawns) to actually mix.
 fn mode_config() -> ExchangeConfig {
     ExchangeConfig {
         schedule: Schedule {
@@ -453,11 +451,11 @@ fn bench_large(json: &mut String, gates: &mut Gates) {
 
         // At industrial scale the ladder needs room to mix before the
         // gate is meaningful: at least as many barriers as rungs (so a
-        // good configuration can percolate from the hot end to the cold
-        // one) and a soft ratio (so adjacent rungs overlap enough for
-        // Metropolis swaps to fire). With the Table 1 defaults (4
-        // barriers, ratio 1.5) tempering never exchanges anything here
-        // and simply forfeits 7 of its 8 rungs to unproductive heat.
+        // good configuration can percolate down the ladder) and a soft
+        // ratio (so adjacent rungs overlap enough for Metropolis swaps
+        // to fire). With the Table 1 defaults (4 barriers, ratio 1.5)
+        // one swap of nine proposed fires on large-4k, and the ladder
+        // cannot mix.
         let mode_shape = PortfolioConfig {
             starts: *WIDTHS.last().expect("widths"),
             sync_epochs: 8,

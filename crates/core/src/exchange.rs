@@ -545,24 +545,25 @@ impl<'a> ExchangeDriver<'a> {
         self.walk.current_cost
     }
 
-    /// The run's thermal state `(temperature, final_temp)`.
-    ///
-    /// Both values move together in a tempering swap: the pair encodes
-    /// the rung, and because every rung shares `final_temp_ratio` and
-    /// `cooling`, swapping pairs preserves each driver's remaining step
-    /// count — the ladder stays in lockstep across sync epochs.
-    pub(crate) fn thermal(&self) -> (f64, f64) {
-        (self.walk.temperature, self.final_temp)
+    /// The current temperature.
+    pub(crate) fn temperature(&self) -> f64 {
+        self.walk.temperature
     }
 
-    /// Installs a thermal state taken from another rung (see
-    /// [`ExchangeDriver::thermal`]). Exchanging temperatures while plans,
+    /// Exchanges thermal states — temperature, final temperature and
+    /// cooling factor — with `other`, for a tempering swap.
+    ///
+    /// The triple is the rung: a rung's temperatures are the products of
+    /// its own cooling factor, so the driver that takes it over continues
+    /// the same sequence to the same step count, and the ladder stays in
+    /// lockstep across sync epochs. Exchanging thermal states while plans,
     /// journals and RNG streams stay put is observably identical to the
     /// textbook "swap the configurations" formulation, but keeps every
     /// cost ledger and the journal-replay contract trivially intact.
-    pub(crate) fn set_thermal(&mut self, temperature: f64, final_temp: f64) {
-        self.walk.temperature = temperature;
-        self.final_temp = final_temp;
+    pub(crate) fn swap_thermal(&mut self, other: &mut Self) {
+        std::mem::swap(&mut self.walk.temperature, &mut other.walk.temperature);
+        std::mem::swap(&mut self.final_temp, &mut other.final_temp);
+        std::mem::swap(&mut self.cooling, &mut other.cooling);
     }
 
     /// The accepted-move journal so far, as `(pos, target)` pairs.

@@ -15,7 +15,8 @@
 //!   in `copack-verify`).
 //! * **Never worse than one start.** Start 0 anneals with the base seed
 //!   itself ([`derive_seed`]`(base, 0) == base`) and is exempt from
-//!   pruning — it always runs its full schedule, exactly as a plain
+//!   pruning and from tempering swaps — it always runs its full
+//!   schedule at the base temperatures, exactly as a plain
 //!   [`crate::exchange`] with the same seed would — and the reduction
 //!   picks the minimum best-so-far cost, so the portfolio's winner costs
 //!   at most what the single-start run would. (Pruning start 0 on an
@@ -94,10 +95,13 @@ pub enum PortfolioMode {
     /// that survives a `Race` portfolio also survives here).
     Coop,
     /// Parallel tempering: start `r` anneals on temperature rung
-    /// `initial_temp_factor · ladder_ratio^r`, nothing is ever pruned,
-    /// and adjacent rungs propose a deterministic Metropolis swap of
-    /// thermal states at each epoch barrier (even pairs on even
-    /// barriers, odd pairs on odd ones).
+    /// `initial_temp_factor · ladder_ratio^r`, cooling faster so that
+    /// every rung reaches the base final temperature in the base step
+    /// count; nothing is ever pruned, and adjacent rungs propose a
+    /// deterministic Metropolis swap of thermal states at each epoch
+    /// barrier (even pairs on even barriers, odd pairs on odd ones).
+    /// Rung 0 never swaps, so it anneals exactly as start 0 does in
+    /// the other modes.
     Temper,
 }
 
@@ -540,13 +544,18 @@ pub fn exchange_portfolio_cancellable(
             ..config.clone()
         };
         if mode == PortfolioMode::Temper && start > 0 {
-            // Temperature rung `start`: geometric ladder over the base
-            // schedule. The step count depends only on `final_temp_ratio`
-            // and `cooling`, so every rung runs the same number of
-            // temperature steps and the ladder stays in lockstep.
-            cfg.schedule.initial_temp_factor *= portfolio
+            // Temperature rung `start` starts `heat` times hotter and
+            // cools faster by `heat^(-1/steps)` per step, so it reaches
+            // the base final temperature in the base step count: the
+            // ladder stays in lockstep, and every rung ends as cold as a
+            // `race` start instead of spending its last steps hot.
+            let heat = portfolio
                 .ladder_ratio
                 .powi(i32::try_from(start).expect("start index fits i32"));
+            let steps = total_steps as f64;
+            cfg.schedule.initial_temp_factor *= heat;
+            cfg.schedule.final_temp_ratio /= heat;
+            cfg.schedule.cooling *= heat.powf(-steps.recip());
         }
         let (plan, prefix, origin) = match cross {
             Some(c) => (
@@ -651,16 +660,18 @@ pub fn exchange_portfolio_cancellable(
             // Even-indexed pairs on even barriers, odd-indexed on odd
             // ones, each verdict a pure function of (seed, barrier, rung,
             // current costs, temperatures) — epoch-major, so threads
-            // 1 and N agree bit-for-bit.
+            // 1 and N agree bit-for-bit. Rung 0 never swaps: it is the
+            // caller's plain anneal, as start 0 is in the other modes,
+            // so the winner is never worse than a single start.
             if runs.len() > 1 && runs.iter().all(|r| !r.is_finished()) {
-                let mut i = (barrier_epoch % 2) as usize;
+                let mut i = if barrier_epoch % 2 == 0 { 2 } else { 1 };
                 while i + 1 < runs.len() {
                     let (head, tail) = runs.split_at_mut(i + 1);
                     let ra = &mut head[i];
                     let rb = &mut tail[0];
                     if let (Some(da), Some(db)) = (ra.driver.as_mut(), rb.driver.as_mut()) {
                         let (cost_a, cost_b) = (da.current_cost(), db.current_cost());
-                        let ((temp_a, fin_a), (temp_b, fin_b)) = (da.thermal(), db.thermal());
+                        let (temp_a, temp_b) = (da.temperature(), db.temperature());
                         let accepted = tempering_swap_accepts(
                             config.seed,
                             barrier_epoch,
@@ -671,8 +682,7 @@ pub fn exchange_portfolio_cancellable(
                             temp_b,
                         );
                         if accepted {
-                            da.set_thermal(temp_b, fin_b);
-                            db.set_thermal(temp_a, fin_a);
+                            da.swap_thermal(db);
                         }
                         if rec_on {
                             ra.buffer.push(Event::PortfolioSwap {
@@ -1014,24 +1024,31 @@ mod tests {
         let stack = StackConfig::default();
         let cfg = fast_config(0xBEEF);
         let solo = exchange(&q, &a, &stack, &cfg).expect("solo run");
-        let portfolio = exchange_portfolio(
-            &q,
-            &a,
-            &stack,
-            &cfg,
-            &PortfolioConfig {
-                starts: 8,
-                threads: 0,
-                ..PortfolioConfig::default()
-            },
-        )
-        .expect("portfolio run");
-        assert!(
-            portfolio.result.stats.final_cost <= solo.stats.final_cost,
-            "portfolio {} > solo {}",
-            portfolio.result.stats.final_cost,
-            solo.stats.final_cost
-        );
+        for mode in [
+            PortfolioMode::Race,
+            PortfolioMode::Coop,
+            PortfolioMode::Temper,
+        ] {
+            let portfolio = exchange_portfolio(
+                &q,
+                &a,
+                &stack,
+                &cfg,
+                &PortfolioConfig {
+                    starts: 8,
+                    threads: 0,
+                    mode,
+                    ..PortfolioConfig::default()
+                },
+            )
+            .expect("portfolio run");
+            assert!(
+                portfolio.result.stats.final_cost <= solo.stats.final_cost,
+                "mode {mode:?}: portfolio {} > solo {}",
+                portfolio.result.stats.final_cost,
+                solo.stats.final_cost
+            );
+        }
     }
 
     /// The regression a starved schedule exposed: under aggressive
