@@ -12,10 +12,7 @@
 //! Every configuration runs once untimed and [`REPS`] times timed; the
 //! file records the spread of its wall seconds (reps, min, median, p90)
 //! and the host's core count, and the thread crossover compares medians.
-//! Every run of a configuration must return the same winner. The run
-//! records every configuration before it checks the quality gates, so a
-//! failing run still writes the file, then exits non-zero naming each
-//! broken gate.
+//! Every run of a configuration must return the same winner.
 //!
 //! Run with `cargo run --release -p copack-bench --bin bench_portfolio`.
 
@@ -132,22 +129,7 @@ fn width(starts: u32, threads: usize) -> PortfolioConfig {
     }
 }
 
-/// The quality gates a run has broken so far; checked only after the
-/// file is written.
-#[derive(Default)]
-struct Gates(Vec<String>);
-
-impl Gates {
-    fn check(&mut self, holds: bool, failure: impl FnOnce() -> String) {
-        if !holds {
-            let failure = failure();
-            println!("GATE FAILED: {failure}");
-            self.0.push(failure);
-        }
-    }
-}
-
-/// Runs the three cooperation modes at an equal move budget and checks
+/// Runs the three cooperation modes at an equal move budget and asserts
 /// the never-worse gate: `coop` and `temper` winner costs must not
 /// exceed `race`'s on the same instance, schedule, and seed. `template`
 /// carries the portfolio shape (starts, sync epochs, ladder ratio); the
@@ -159,7 +141,6 @@ fn mode_sweep(
     stack: &StackConfig,
     config: &ExchangeConfig,
     template: &PortfolioConfig,
-    gates: &mut Gates,
 ) -> Vec<Sample> {
     let sweep: Vec<Sample> = MODES
         .iter()
@@ -177,13 +158,12 @@ fn mode_sweep(
     // equal in exact arithmetic already score bit-equal.
     let gate = race * (1.0 + 1e-12);
     for (mode, sample) in MODES.iter().zip(&sweep).skip(1) {
-        gates.check(sample.cost <= gate, || {
-            format!(
-                "{name}: {} winner ({:.17e}) lost to race ({race:.17e}) at an equal move budget",
-                mode.as_str(),
-                sample.cost
-            )
-        });
+        assert!(
+            sample.cost <= gate,
+            "{name}: {} winner ({:.17e}) lost to race ({race:.17e}) at an equal move budget",
+            mode.as_str(),
+            sample.cost
+        );
     }
     sweep
 }
@@ -226,7 +206,6 @@ fn json_sample(out: &mut String, sample: &Sample) {
 }
 
 fn main() {
-    let mut gates = Gates::default();
     let mut json = format!(
         "{{\n  \"benchmark\": \"portfolio\",\n  \"cores\": {},\n  \"circuits\": [\n",
         host_cores()
@@ -252,12 +231,14 @@ fn main() {
             .collect();
         let baseline = quality[0].cost;
         let widest = quality.last().expect("non-empty sweep");
-        gates.check(widest.cost <= baseline, || {
-            format!(
-                "{}: K={} winner ({:.6}) worse than single start ({:.6})",
-                &circuit.name, widest.starts, widest.cost, baseline
-            )
-        });
+        assert!(
+            widest.cost <= baseline,
+            "{}: K={} winner ({:.6}) worse than single start ({:.6})",
+            &circuit.name,
+            widest.starts,
+            widest.cost,
+            baseline
+        );
 
         // Wall clock vs. threads at the widest portfolio; the winner must
         // not move.
@@ -296,7 +277,6 @@ fn main() {
             &StackConfig::planar(),
             &mode_config(),
             &mode_shape,
-            &mut gates,
         );
 
         println!(
@@ -340,16 +320,10 @@ fn main() {
         json.push('\n');
     }
     json.push_str("  ],\n");
-    bench_large(&mut json, &mut gates);
+    bench_large(&mut json);
     json.push_str("}\n");
     std::fs::write("BENCH_portfolio.json", &json).expect("write BENCH_portfolio.json");
     println!("wrote BENCH_portfolio.json");
-    assert!(
-        gates.0.is_empty(),
-        "{} gate(s) failed:\n{}",
-        gates.0.len(),
-        gates.0.join("\n")
-    );
 }
 
 /// The industrial-scale rows the parallelism and cooperation stories
@@ -362,7 +336,7 @@ fn main() {
 /// count. Both the 1k and 4k presets then run the quality-vs-mode gate:
 /// `coop` and `temper` must not lose to `race` at an equal move budget
 /// at industrial scale either.
-fn bench_large(json: &mut String, gates: &mut Gates) {
+fn bench_large(json: &mut String) {
     // A fuller schedule than the Table 1 sweep: enough annealing per
     // start that the work, not the thread plumbing, dominates. Doubles
     // as the mode-gate schedule at this scale (deep enough for the
@@ -415,24 +389,24 @@ fn bench_large(json: &mut String, gates: &mut Gates) {
             let cores = host_cores();
             let (widest_s, serial_s) = (widest.wall.median, serial.wall.median);
             if cores >= 2 {
-                gates.check(widest_s < serial_s, || {
-                    format!(
-                        "{}: {} threads ({widest_s:.3} s) failed to beat 1 thread \
-                         ({serial_s:.3} s) on {cores} cores",
-                        spec.name, widest.threads
-                    )
-                });
+                assert!(
+                    widest_s < serial_s,
+                    "{}: {} threads ({widest_s:.3} s) failed to beat 1 thread ({serial_s:.3} s) \
+                     on {cores} cores",
+                    spec.name,
+                    widest.threads
+                );
             } else {
                 println!(
                     "note: single core — asserting thread overhead is bounded, not the crossover"
                 );
-                gates.check(widest_s < serial_s * 1.5, || {
-                    format!(
-                        "{}: {} threads ({widest_s:.3} s) cost >50% over 1 thread \
-                         ({serial_s:.3} s) on one core",
-                        spec.name, widest.threads
-                    )
-                });
+                assert!(
+                    widest_s < serial_s * 1.5,
+                    "{}: {} threads ({widest_s:.3} s) cost >50% over 1 thread ({serial_s:.3} s) \
+                     on one core",
+                    spec.name,
+                    widest.threads
+                );
             }
             println!(
                 "{}: K={} cost {:.4} (winner start {}); 1 thread {:.3} s -> {} threads {:.3} s \
@@ -469,7 +443,6 @@ fn bench_large(json: &mut String, gates: &mut Gates) {
             &stack,
             &config,
             &mode_shape,
-            gates,
         );
         println!(
             "{}: race {:.4} / coop {:.4} / temper {:.4} at K=8",
