@@ -548,7 +548,7 @@ pub fn exchange_portfolio_cancellable(
             // cools faster by `heat^(-1/steps)` per step, so it reaches
             // the base final temperature in the base step count: the
             // ladder stays in lockstep, and every rung ends as cold as a
-            // `race` start instead of spending its last steps hot.
+            // `race` start.
             let heat = portfolio
                 .ladder_ratio
                 .powi(i32::try_from(start).expect("start index fits i32"));

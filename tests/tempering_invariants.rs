@@ -3,18 +3,19 @@
 //! Three contracts pin the ladder:
 //!
 //! 1. **Swaps exchange complete thermal states.** A rung's plan,
-//!    journal, and RNG stream never leave their slot — only the
-//!    `(temperature, final_temp)` pair moves — so every rung's cost
-//!    ledger must re-audit bit-exactly across every swap barrier: each
-//!    accepted move's Δ equals the cost step, and the run's final cost
-//!    is the running minimum. A swap that corrupted a driver's state
-//!    would break the chain at the barrier.
+//!    journal, and RNG stream never leave their slot — only the thermal
+//!    state (temperature, final temperature, cooling factor) moves — so
+//!    every rung's cost ledger must re-audit bit-exactly across every
+//!    swap barrier: each accepted move's Δ equals the cost step, and the
+//!    run's final cost is the running minimum. A swap that corrupted a
+//!    driver's state would break the chain at the barrier. Every rung
+//!    is scheduled to end at the base final temperature.
 //! 2. **Swap verdicts are pure.** Each `PortfolioSwap` event carries
 //!    everything that decided it: re-deriving the Metropolis verdict
 //!    from `(seed, epoch, rung, costs, temps)` must reproduce the
 //!    recorded `accepted` flag, the proposal schedule must pair only
-//!    adjacent rungs with the epoch's parity, and a rerun must produce
-//!    the identical swap sequence.
+//!    adjacent rungs above rung 0 with the epoch's parity, and a rerun
+//!    must produce the identical swap sequence.
 //! 3. **A 1-rung ladder degenerates to `race`** byte-for-byte: result,
 //!    journal, and trace.
 
@@ -143,7 +144,8 @@ proptest! {
 
     /// Contract 1: every rung's ledger re-audits exactly across every
     /// swap barrier — thermal swaps exchange complete states and leave
-    /// every driver's plan/cost bookkeeping untouched.
+    /// every driver's plan/cost bookkeeping untouched — and every rung
+    /// is scheduled to end at the same final temperature.
     #[test]
     fn every_rung_ledger_re_audits_exactly_across_swaps(
         q in quadrant_strategy(),
@@ -170,11 +172,32 @@ proptest! {
                 prop_assert!(false, "rung {}: {}", rung, e);
             }
         }
+        // The ladder heats the early steps only: every rung cools to
+        // the base final temperature.
+        let finals: Vec<f64> = segments
+            .iter()
+            .filter_map(|segment| {
+                segment.iter().find_map(|e| match e {
+                    Event::RunStart { final_temperature, .. } => Some(*final_temperature),
+                    _ => None,
+                })
+            })
+            .collect();
+        prop_assert_eq!(finals.len(), starts as usize);
+        for (rung, f) in finals.iter().enumerate() {
+            prop_assert!(
+                (f - finals[0]).abs() <= 1e-12 * finals[0],
+                "rung {} ends at {:e}, rung 0 at {:e}",
+                rung,
+                f,
+                finals[0]
+            );
+        }
     }
 
     /// Contract 2: swap verdicts re-derive from the event fields alone,
-    /// proposals pair only adjacent rungs on the epoch's parity, and a
-    /// rerun reproduces the identical swap sequence.
+    /// proposals pair only adjacent rungs above rung 0 on the epoch's
+    /// parity, and a rerun reproduces the identical swap sequence.
     #[test]
     fn swap_verdicts_are_pure_functions_of_the_barrier(
         q in quadrant_strategy(),
@@ -225,6 +248,7 @@ proptest! {
         let swaps = swap_fields(&events);
         for &(epoch, start_a, start_b, cost_a, cost_b, temp_a, temp_b, accepted) in &swaps {
             prop_assert_eq!(start_b, start_a + 1, "swaps pair adjacent rungs only");
+            prop_assert!(start_a >= 1, "rung 0 never swaps");
             prop_assert_eq!(
                 start_a % 2,
                 epoch % 2,
