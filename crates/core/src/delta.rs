@@ -99,7 +99,20 @@ impl QuadrantDelta {
         if self.is_empty() {
             return Ok(true);
         }
-        Ok(apply_delta(base, self)? == *base)
+        let before = Parts::of(base);
+        let mut after = before.clone();
+        for edit in &self.edits {
+            after.apply(edit)?;
+        }
+        if after.rows == before.rows {
+            // The same nets survive, and the builder ignores overrides on
+            // absent nets. Parts equal to `base`'s own rebuild `base`
+            // exactly (round-trip exactness), so the common backed-out
+            // ECO needs no rebuild.
+            after.kinds.retain(|&net, _| base.net(net).is_some());
+            after.tiers.retain(|&net, _| base.net(net).is_some());
+        }
+        Ok(after == before || after.build()? == *base)
     }
 }
 
@@ -233,28 +246,51 @@ pub fn cancelling_delta(a: &Quadrant, b: &Quadrant) -> QuadrantDelta {
 /// * [`CoreError::Geom`] when the edited model is invalid (duplicate
 ///   nets, empty instance, too few fingers, bad geometry).
 pub fn apply_delta(base: &Quadrant, delta: &QuadrantDelta) -> Result<Quadrant, CoreError> {
-    let mut rows: Vec<Vec<NetId>> = base.rows_bottom_up().map(|(_, r)| r.to_vec()).collect();
-    let mut kinds: BTreeMap<NetId, NetKind> = BTreeMap::new();
-    let mut tiers: BTreeMap<NetId, TierId> = BTreeMap::new();
-    for net in base.nets() {
-        if net.kind != NetKind::Signal {
-            kinds.insert(net.id, net.kind);
+    let mut parts = Parts::of(base);
+    for edit in &delta.edits {
+        parts.apply(edit)?;
+    }
+    parts.build()
+}
+
+/// A quadrant taken apart into what its builder consumes: the ball rows,
+/// the kind and tier overrides, the geometry and a pinned finger count.
+/// Edits replay on the parts; [`Parts::build`] re-validates the result.
+#[derive(Clone, PartialEq)]
+struct Parts {
+    rows: Vec<Vec<NetId>>,
+    kinds: BTreeMap<NetId, NetKind>,
+    tiers: BTreeMap<NetId, TierId>,
+    geometry: QuadrantGeometry,
+    fingers: Option<usize>,
+}
+
+impl Parts {
+    fn of(base: &Quadrant) -> Self {
+        let mut kinds = BTreeMap::new();
+        let mut tiers = BTreeMap::new();
+        for net in base.nets() {
+            if net.kind != NetKind::Signal {
+                kinds.insert(net.id, net.kind);
+            }
+            if net.tier != TierId::BASE {
+                tiers.insert(net.id, net.tier);
+            }
         }
-        if net.tier != TierId::BASE {
-            tiers.insert(net.id, net.tier);
+        Self {
+            rows: base.rows_bottom_up().map(|(_, r)| r.to_vec()).collect(),
+            kinds,
+            tiers,
+            geometry: *base.geometry(),
+            fingers: (base.finger_count() != base.net_count()).then_some(base.finger_count()),
         }
     }
-    let mut geometry = *base.geometry();
-    let mut fingers: Option<usize> = if base.finger_count() != base.net_count() {
-        Some(base.finger_count())
-    } else {
-        None
-    };
 
-    for edit in &delta.edits {
+    fn apply(&mut self, edit: &Edit) -> Result<(), CoreError> {
+        let rows = &mut self.rows;
         match edit {
-            Edit::Geometry(g) => geometry = *g,
-            Edit::Fingers(f) => fingers = Some(*f),
+            Edit::Geometry(g) => self.geometry = *g,
+            Edit::Fingers(f) => self.fingers = Some(*f),
             Edit::Row { y, nets } => {
                 let i = *y as usize;
                 if i == 0 {
@@ -290,7 +326,7 @@ pub fn apply_delta(base: &Quadrant, delta: &QuadrantDelta) -> Result<Quadrant, C
             }
             Edit::Remove(net) => {
                 let mut found = false;
-                for r in &mut rows {
+                for r in rows.iter_mut() {
                     if let Some(i) = r.iter().position(|n| n == net) {
                         r.remove(i);
                         found = true;
@@ -306,40 +342,44 @@ pub fn apply_delta(base: &Quadrant, delta: &QuadrantDelta) -> Result<Quadrant, C
             }
             Edit::Retype { net, kind } => {
                 if *kind == NetKind::Signal {
-                    kinds.remove(net);
+                    self.kinds.remove(net);
                 } else {
-                    kinds.insert(*net, *kind);
+                    self.kinds.insert(*net, *kind);
                 }
             }
             Edit::Tier { net, tier } => {
                 if *tier == TierId::BASE {
-                    tiers.remove(net);
+                    self.tiers.remove(net);
                 } else {
-                    tiers.insert(*net, *tier);
+                    self.tiers.insert(*net, *tier);
                 }
             }
         }
+        Ok(())
     }
 
-    let present: std::collections::BTreeSet<NetId> = rows.iter().flatten().copied().collect();
-    let mut builder = Quadrant::builder().geometry(geometry);
-    for row in rows {
-        builder = builder.row(row);
-    }
-    if let Some(f) = fingers {
-        builder = builder.fingers(f);
-    }
-    for (net, kind) in kinds {
-        if present.contains(&net) {
-            builder = builder.net_kind(net, kind);
+    fn build(self) -> Result<Quadrant, CoreError> {
+        let present: std::collections::BTreeSet<NetId> =
+            self.rows.iter().flatten().copied().collect();
+        let mut builder = Quadrant::builder().geometry(self.geometry);
+        for row in self.rows {
+            builder = builder.row(row);
         }
-    }
-    for (net, tier) in tiers {
-        if present.contains(&net) {
-            builder = builder.net_tier(net, tier);
+        if let Some(f) = self.fingers {
+            builder = builder.fingers(f);
         }
+        for (net, kind) in self.kinds {
+            if present.contains(&net) {
+                builder = builder.net_kind(net, kind);
+            }
+        }
+        for (net, tier) in self.tiers {
+            if present.contains(&net) {
+                builder = builder.net_tier(net, tier);
+            }
+        }
+        builder.build().map_err(CoreError::Geom)
     }
-    builder.build().map_err(CoreError::Geom)
 }
 
 #[cfg(test)]
@@ -392,6 +432,22 @@ mod tests {
     fn empty_delta_is_noop_without_applying() {
         let a = base();
         assert!(QuadrantDelta::default().is_noop_for(&a).unwrap());
+    }
+
+    #[test]
+    fn the_noop_check_reads_overrides_like_a_rebuild() {
+        let a = base();
+        let retype = |net: u32| QuadrantDelta {
+            edits: vec![Edit::Retype {
+                net: NetId::new(net),
+                kind: NetKind::Power,
+            }],
+        };
+        // Retyping a present net changes the quadrant; the rebuild
+        // ignores an override on an absent net.
+        assert!(!retype(2).is_noop_for(&a).unwrap());
+        assert!(retype(42).is_noop_for(&a).unwrap());
+        assert_eq!(apply_delta(&a, &retype(42)).unwrap(), a);
     }
 
     #[test]

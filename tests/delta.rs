@@ -3,9 +3,9 @@
 //! (through the circuit format, so geometry, finger counts, and per-net
 //! kind/tier overrides all survive), the self-diff is always empty, and
 //! the `.edits` text format round-trips every diff the generator can
-//! produce.
+//! produce. The no-op check reads every delta as a rebuild would.
 
-use copack::core::{apply_delta, diff_quadrant, InstanceDelta};
+use copack::core::{apply_delta, cancelling_delta, diff_quadrant, InstanceDelta};
 use copack::gen::{churn, SplitMix64, STANDARD_CHURN};
 use copack::geom::{NetKind, Quadrant, TierId};
 use copack::io::{parse_delta, write_delta, write_quadrant};
@@ -93,6 +93,24 @@ proptest! {
         // exactness contract as arbitrary pairs.
         let edited = churn(&q, seed, STANDARD_CHURN).expect("churn applies");
         assert_round_trip(&q, &edited);
+    }
+
+    #[test]
+    fn the_noop_check_agrees_with_rebuilding(
+        a in quadrant_strategy_tiered(2),
+        b in quadrant_strategy_tiered(2),
+        c in quadrant_strategy_tiered(2),
+    ) {
+        // A backed-out ECO (a -> b -> a), and the same followed by a real
+        // one (a -> c): the no-op check must agree with applying the
+        // delta and comparing the result with its base.
+        let backed_out = cancelling_delta(&a, &b);
+        let mut real = backed_out.clone();
+        real.edits.extend(diff_quadrant(&a, &c).edits);
+        for delta in [backed_out, real] {
+            let rebuilt = apply_delta(&a, &delta).expect("the delta applies");
+            prop_assert_eq!(delta.is_noop_for(&a).expect("the check runs"), rebuilt == a);
+        }
     }
 
     #[test]
