@@ -9,7 +9,9 @@
 
 mod reports;
 
-pub use reports::{fig5_report, margin_report, table2_report, table3_report};
+pub use reports::{
+    fig15_report, fig5_report, margin_report, table2_report, table3_report, FIG15_CASES,
+};
 
 use std::fmt::Write as _;
 use std::hint::black_box;

@@ -12,7 +12,7 @@ use copack_core::{
     assign, dfa, exchange, ifa, margin_penalty, AssignMethod, Codesign, CodesignReport,
     CostWeights, ExchangeConfig,
 };
-use copack_gen::circuits;
+use copack_gen::{circuit, circuits};
 use copack_geom::{Assignment, Quadrant, QuadrantGeometry};
 use copack_power::GridSpec;
 use copack_route::{analyze, balanced_density_map, DensityModel};
@@ -510,5 +510,49 @@ pub fn fig5_report() -> String {
         );
     }
     let _ = writeln!(out, "All three worked examples match the paper exactly.");
+    out
+}
+
+/// The assignments of the paper's **Fig. 15** routing plots of circuit 2,
+/// in the order they are drawn: random, IFA and DFA.
+pub const FIG15_CASES: [(&str, AssignMethod); 3] = [
+    ("random", AssignMethod::Random { seed: 11 }),
+    ("ifa", AssignMethod::Ifa),
+    ("dfa", AssignMethod::dfa_default()),
+];
+
+/// Renders the metrics of the paper's **Fig. 15**: the maximum density and
+/// flyline wirelength of circuit 2 under the random, IFA and DFA
+/// assignments, and the ordering verdict the plots show.
+///
+/// # Panics
+///
+/// Panics unless DFA ≤ IFA ≤ random on maximum density, the ordering the
+/// paper's plots show.
+#[must_use]
+pub fn fig15_report() -> String {
+    let c = circuit(2);
+    let q = c.build_quadrant().expect("circuit 2 builds");
+    let mut out = String::new();
+    let _ = writeln!(out, "Fig. 15: routing plots of {} (one quadrant)", c.name);
+    let mut densities = Vec::new();
+    for (name, method) in FIG15_CASES {
+        let a = assign(&q, method).expect("assignment");
+        let report = analyze(&q, &a, DensityModel::Geometric).expect("routable");
+        let _ = writeln!(
+            out,
+            "  {name:<7} max density {:>2}, wirelength {:>8.2} um",
+            report.max_density, report.total_wirelength
+        );
+        densities.push(report.max_density);
+    }
+    assert!(
+        densities[2] <= densities[1] && densities[1] <= densities[0],
+        "expected DFA <= IFA <= random, got {densities:?}"
+    );
+    let _ = writeln!(
+        out,
+        "Ordering DFA <= IFA <= random reproduced (paper shows the same)."
+    );
     out
 }

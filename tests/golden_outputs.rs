@@ -64,3 +64,10 @@ fn check_verdict_tables_are_bit_identical_to_the_golden() {
     }
     assert_eq!(out, golden("check.txt"));
 }
+
+/// Fig. 15's metrics: circuit 2's maximum density and flyline wirelength
+/// under the random, IFA and DFA assignments, and the ordering verdict.
+#[test]
+fn fig15_output_is_bit_identical_to_the_golden() {
+    assert_eq!(copack_bench::fig15_report(), golden("fig15.txt"));
+}
