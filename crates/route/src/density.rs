@@ -2,9 +2,10 @@
 
 use std::fmt;
 
-use copack_geom::{Assignment, Quadrant, RowIdx};
+use copack_geom::{Assignment, FingerIdx, NetId, Quadrant, RowIdx};
 
-use crate::{line_crossings, via_plan, RouteError};
+use crate::crossing::{site_xs, sweep, CrossingSink};
+use crate::{check_monotonic, via_plan, RouteError, ViaPlan};
 
 /// How crossing wires are attributed to segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,43 +151,102 @@ pub fn density_map_traced(
 /// [`density_map`] under an explicit via plan (see
 /// [`crate::via_plan_with`]).
 ///
+/// Each crossing is counted into its segment as the crate's crossing pass
+/// produces it (see [`crate::line_crossings`] for the crossings
+/// themselves), so the map costs `O(crossings + lines × sites)` time and
+/// holds nothing per crossing.
+///
 /// # Errors
 ///
-/// As [`density_map`].
+/// As [`density_map`], and [`crate::line_crossings`]'s errors for a plan
+/// of another quadrant.
 pub fn density_map_with_plan(
     quadrant: &Quadrant,
     assignment: &Assignment,
     model: DensityModel,
-    plan: &crate::ViaPlan,
+    plan: &ViaPlan,
 ) -> Result<DensityMap, RouteError> {
-    let lines = line_crossings(quadrant, assignment, plan)?;
-    let mut rows = Vec::with_capacity(lines.len());
-    for line in &lines {
-        let boundaries: Vec<f64> = match model {
-            DensityModel::Geometric => line.site_xs.clone(),
-            DensityModel::OrderOnly => line.terminating.iter().map(|&(_, vx)| vx).collect(),
+    check_monotonic(quadrant, assignment)?;
+    legal_density_map(quadrant, assignment, model, plan)
+}
+
+/// [`density_map_with_plan`] for an assignment that has passed
+/// [`check_monotonic`].
+pub(crate) fn legal_density_map(
+    quadrant: &Quadrant,
+    assignment: &Assignment,
+    model: DensityModel,
+    plan: &ViaPlan,
+) -> Result<DensityMap, RouteError> {
+    let mut counter = Counter {
+        quadrant,
+        model,
+        rows: Vec::with_capacity(quadrant.row_count()),
+        within: (0, 0),
+    };
+    sweep(quadrant, assignment, plan, &mut counter)?;
+    Ok(DensityMap { rows: counter.rows })
+}
+
+/// Counts the crossing pass into per-line segment counts.
+///
+/// A crossing falls in the segment after every boundary left of it: under
+/// [`DensityModel::Geometric`] at its x, under
+/// [`DensityModel::OrderOnly`] at its span's lower end (an occupied via or
+/// the left extent), which puts it in the segment right of that via.
+struct Counter<'q> {
+    quadrant: &'q Quadrant,
+    model: DensityModel,
+    rows: Vec<RowDensity>,
+    /// The current bracket's boundaries still to compare, as an index
+    /// range; under the order-only model its start is the segment.
+    within: (usize, usize),
+}
+
+impl CrossingSink for Counter<'_> {
+    fn line(&mut self, row: RowIdx, _line_y: f64, terminating: &[(NetId, f64)]) {
+        let boundaries: Vec<f64> = match self.model {
+            DensityModel::Geometric => site_xs(self.quadrant, row),
+            DensityModel::OrderOnly => terminating.iter().map(|&(_, vx)| vx).collect(),
         };
-        let mut counts = vec![0u32; boundaries.len() + 1];
-        for c in &line.crossings {
-            let x = match model {
-                DensityModel::Geometric => c.x,
-                // Attribute by span: the wire sits just right of its span's
-                // lower boundary (an occupied via or the left extent).
-                DensityModel::OrderOnly => c.span.0,
-            };
-            let seg = boundaries.partition_point(|&b| b < x);
-            // Under OrderOnly, a wire whose span starts at a via belongs to
-            // the segment *right* of that via; `partition_point` with the
-            // strict `<` already lands there because x equals the boundary.
-            counts[seg] += 1;
-        }
-        rows.push(RowDensity {
-            row: line.row,
+        let counts = vec![0u32; boundaries.len() + 1];
+        self.rows.push(RowDensity {
+            row,
             boundaries,
             counts,
         });
     }
-    Ok(DensityMap { rows })
+
+    fn bracket(&mut self, span: (f64, f64), clamp: (f64, f64)) {
+        let b = &self
+            .rows
+            .last()
+            .expect("a bracket follows its line")
+            .boundaries;
+        self.within = match self.model {
+            // The crossing's x lies in the clamp range: every boundary
+            // left of the range precedes it, and none from its right end
+            // on. The sites rise, so a search of the rest suffices.
+            DensityModel::Geometric => (
+                b.partition_point(|&v| v < clamp.0),
+                b.partition_point(|&v| v < clamp.1),
+            ),
+            DensityModel::OrderOnly => (b.partition_point(|&v| v < span.0), 0),
+        };
+    }
+
+    fn crossing(&mut self, _net: NetId, _finger: FingerIdx, x: f64) {
+        let row = self.rows.last_mut().expect("a crossing follows its line");
+        let (lo, hi) = self.within;
+        let seg = match self.model {
+            // A NaN x (a flyline from a foreign via at the finger row's
+            // height) precedes no boundary.
+            DensityModel::Geometric if x.is_nan() => 0,
+            DensityModel::Geometric => lo + row.boundaries[lo..hi].partition_point(|&b| b < x),
+            DensityModel::OrderOnly => lo,
+        };
+        row.counts[seg] += 1;
+    }
 }
 
 #[cfg(test)]

@@ -24,6 +24,16 @@ pub enum RouteError {
         /// The unplaced net.
         net: NetId,
     },
+    /// A crossing wire's forced span leaves no room for the clamping
+    /// margin: the terminating vias bracketing it in finger order sit in
+    /// the wrong order or less than two margins apart. Only a via plan of
+    /// another quadrant places them so.
+    EmptySpan {
+        /// 1-based row whose line the wire crosses.
+        row: u32,
+        /// The crossing net.
+        net: NetId,
+    },
     /// An underlying model error.
     Geom(GeomError),
 }
@@ -41,6 +51,11 @@ impl fmt::Display for RouteError {
                  {left_ball} sits left of {right_ball} on the balls but right of it on the fingers"
             ),
             Self::Unplaced { net } => write!(f, "net {net} has no finger slot"),
+            Self::EmptySpan { row, net } => write!(
+                f,
+                "net {net} has no room to cross row y={row}: \
+                 the vias bracketing it leave an empty span (is the via plan this quadrant's?)"
+            ),
             Self::Geom(e) => write!(f, "model error: {e}"),
         }
     }
@@ -77,6 +92,12 @@ mod tests {
         assert!(!RouteError::Unplaced { net: NetId::new(1) }
             .to_string()
             .is_empty());
+        let s = RouteError::EmptySpan {
+            row: 4,
+            net: NetId::new(7),
+        }
+        .to_string();
+        assert!(s.contains("y=4") && s.contains("N7"));
     }
 
     #[test]

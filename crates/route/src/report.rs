@@ -4,7 +4,9 @@ use std::fmt;
 
 use copack_geom::{Assignment, Quadrant};
 
-use crate::{check_monotonic, density_map, total_wirelength, DensityModel, FlankLoad, RouteError};
+use crate::density::legal_density_map;
+use crate::wirelength::wirelength_with_plan;
+use crate::{check_monotonic, via_plan, DensityModel, FlankLoad, RouteError};
 
 /// Summary of a routed (analysed) assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +42,8 @@ impl fmt::Display for RoutingReport {
 }
 
 /// Analyses `assignment` on `quadrant`: legality check, density map and
-/// flyline wirelength.
+/// flyline wirelength. The legality check runs once, and the density map
+/// and the wirelength share one via plan.
 ///
 /// # Errors
 ///
@@ -53,8 +56,9 @@ pub fn analyze(
     model: DensityModel,
 ) -> Result<RoutingReport, RouteError> {
     check_monotonic(quadrant, assignment)?;
-    let density = density_map(quadrant, assignment, model)?;
-    let wirelength = total_wirelength(quadrant, assignment)?;
+    let plan = via_plan(quadrant);
+    let density = legal_density_map(quadrant, assignment, model, &plan)?;
+    let wirelength = wirelength_with_plan(quadrant, assignment, &plan)?;
     Ok(RoutingReport {
         max_density: density.max_density(),
         max_density_interior: density.max_density_interior(),
@@ -74,6 +78,7 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::total_wirelength;
     use copack_geom::{Assignment, Quadrant};
 
     fn fig5() -> Quadrant {

@@ -36,10 +36,18 @@ pub fn net_wirelength(
 ///
 /// Propagates the first per-net error.
 pub fn total_wirelength(quadrant: &Quadrant, assignment: &Assignment) -> Result<f64, RouteError> {
-    let plan = via_plan(quadrant);
+    wirelength_with_plan(quadrant, assignment, &via_plan(quadrant))
+}
+
+/// [`total_wirelength`] under a given via plan, summed in net-id order.
+pub(crate) fn wirelength_with_plan(
+    quadrant: &Quadrant,
+    assignment: &Assignment,
+    plan: &ViaPlan,
+) -> Result<f64, RouteError> {
     let mut total = 0.0;
     for net in quadrant.nets() {
-        total += net_wirelength(quadrant, assignment, &plan, net.id)?;
+        total += net_wirelength(quadrant, assignment, plan, net.id)?;
     }
     Ok(total)
 }
