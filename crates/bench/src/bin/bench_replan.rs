@@ -18,11 +18,15 @@
 //! the measured replan speedup holds at least 5× — a regression gate
 //! on the warm path, not a scoreboard.
 //!
-//! Each quantity is timed over one untimed and five timed runs, and the
-//! file records every spread (reps, min, median, p90) and the host's core
-//! count. The gate reads the minimums: a scheduler stall can only inflate
-//! a sample, never deflate it, so the fastest run is the closest to the
-//! code's true cost and a single noisy sample cannot swing the gate.
+//! The four quantities (clean cold anneal, dirty cold anneal, no-op check,
+//! warm replan) are timed in interleaved rounds: one untimed round, then
+//! five timed ones, each timing all four in that order. Host drift
+//! between rounds then moves every quantity alike instead of one block
+//! of runs. The file records every spread (reps, min, median, p90) and
+//! the host's core count. The gate reads the minimums: a scheduler stall
+//! can only inflate a sample, never deflate it, so the fastest run is the
+//! closest to the code's true cost and a single noisy sample cannot swing
+//! the gate.
 //!
 //! The runs are strictly serial — concurrent timing on a shared
 //! machine would corrupt the numbers. Results go to `BENCH_replan.json`.
@@ -31,7 +35,7 @@
 
 use std::fmt::Write as _;
 
-use copack_bench::{host_cores, repeat_timed, Spread};
+use copack_bench::{host_cores, timed, Spread};
 use copack_core::{
     cancelling_delta, dfa, exchange, exchange_warm, CancelToken, ExchangeConfig, Schedule,
 };
@@ -70,51 +74,58 @@ fn main() {
         let stack = spec.stack().expect("valid stack");
         let quadrant = spec.build_quadrant().expect("instance builds");
 
-        // The original submission: one cold anneal per quadrant. All
-        // four quadrants are identical, so one run times them all —
-        // and its winner is the `prev` plan the replan warm-starts
-        // from.
-        let initial = dfa(&quadrant, 1).expect("dfa");
-        let (clean, previous) = repeat_timed(runs, || {
-            exchange(&quadrant, &initial, &stack, &config).expect("cold anneal runs")
-        });
-        let clean_seconds = clean.min;
-
         // The ECO batch dirties exactly one quadrant under the standard
         // churn, and resubmits a second with a delta whose edits cancel
         // out to a no-op.
+        let initial = dfa(&quadrant, 1).expect("dfa");
         let edited = churn(&quadrant, CHURN_SEED, STANDARD_CHURN).expect("churn applies");
+        let dirty_initial = dfa(&edited, 1).expect("dfa on the edited instance");
         let noop = cancelling_delta(&quadrant, &edited);
         assert!(!noop.is_empty(), "the no-op delta must carry real edits");
 
-        // Cold replan: every quadrant re-anneals from scratch — the
-        // edited one plus the three untouched ones.
-        let dirty_initial = dfa(&edited, 1).expect("dfa on the edited instance");
-        let (dirty, scratch) = repeat_timed(runs, || {
-            exchange(&edited, &dirty_initial, &stack, &config).expect("cold dirty anneal runs")
-        });
-        let cold_seconds = dirty.min + (QUADRANTS - 1.0) * clean_seconds;
-
-        // Incremental replan: the untouched quadrants answer from the
-        // cache (zero annealer work), the no-op resubmission is
-        // dismissed by one equivalence check, and only the dirty one
+        // Per round, in order: the original submission's cold anneal of
+        // one quadrant (all four are identical, so one run times them
+        // all, and its winner is the `prev` plan the replan warm-starts
+        // from); the cold re-anneal of the edited quadrant; and the
+        // incremental replan, where the untouched quadrants answer from
+        // the cache (zero annealer work), the no-op resubmission is
+        // dismissed by one equivalence check, and only the dirty quadrant
         // warm-starts.
-        let (noop_check, noop_detected) = repeat_timed(runs, || {
-            noop.is_noop_for(&quadrant).expect("no-op check runs")
-        });
+        let mut samples: [Vec<f64>; 4] = Default::default();
+        let mut outcome = None;
+        for round in 0..=runs {
+            let (clean_s, previous) =
+                timed(|| exchange(&quadrant, &initial, &stack, &config).expect("cold anneal runs"));
+            let (dirty_s, scratch) = timed(|| {
+                exchange(&edited, &dirty_initial, &stack, &config).expect("cold dirty anneal runs")
+            });
+            let (noop_s, noop_detected) =
+                timed(|| noop.is_noop_for(&quadrant).expect("no-op check runs"));
+            assert!(noop_detected, "the cancelling delta must read as a no-op");
+            let (warm_s, warm) = timed(|| {
+                exchange_warm(
+                    &edited,
+                    &previous.assignment,
+                    &stack,
+                    &config,
+                    &mut NoopRecorder,
+                    &CancelToken::new(),
+                )
+                .expect("warm replan runs")
+            });
+            if round > 0 {
+                for (sample, s) in samples.iter_mut().zip([clean_s, dirty_s, noop_s, warm_s]) {
+                    sample.push(s);
+                }
+            }
+            outcome = Some((previous, scratch, warm));
+        }
+        let (previous, scratch, warm) = outcome.expect("at least one round");
+        let [clean, dirty, noop_check, anneal] = samples.map(Spread::of);
+        // Cold replan: every quadrant re-anneals from scratch, the edited
+        // one plus the three untouched ones.
+        let cold_seconds = dirty.min + (QUADRANTS - 1.0) * clean.min;
         let noop_seconds = noop_check.min;
-        assert!(noop_detected, "the cancelling delta must read as a no-op");
-        let (anneal, warm) = repeat_timed(runs, || {
-            exchange_warm(
-                &edited,
-                &previous.assignment,
-                &stack,
-                &config,
-                &mut NoopRecorder,
-                &CancelToken::new(),
-            )
-            .expect("warm replan runs")
-        });
         let warm_seconds = anneal.min + noop_seconds;
 
         // The warm path is seeded and repair is pure: a second run must
