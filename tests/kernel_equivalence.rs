@@ -2,15 +2,16 @@
 //! exchange kernel: on the Fig. 5 instance, all five Table 1 circuits
 //! (ψ = 1 and ψ = 4), reduced large-family instances (ψ ∈ {1, 2, 4, 8}),
 //! a large-1k preset side, and sparse quadrants (more fingers than nets),
-//! with the margin weight μ off and on, [`exchange`] and
+//! with the margin weight μ off and on, and with each of λ, ρ and φ off in
+//! turn, [`exchange`] and
 //! [`exchange_reference`] must return
 //! **bit-identical** [`copack::core::ExchangeResult`]s from identical
 //! seeds — and, with the telemetry layer, identical **trajectories**: the
 //! recorded event streams match move for move, not just at the end state.
 
 use copack::core::{
-    dfa, exchange, exchange_reference, exchange_reference_traced, exchange_traced, ExchangeConfig,
-    Schedule,
+    dfa, exchange, exchange_reference, exchange_reference_traced, exchange_traced, CostWeights,
+    ExchangeConfig, Schedule,
 };
 use copack::gen::{circuits, large_circuit, large_fuzz_case};
 use copack::geom::{Assignment, NetKind, Quadrant, StackConfig, TierId};
@@ -52,6 +53,38 @@ fn with_margin(mut cfg: ExchangeConfig, margin: f64) -> ExchangeConfig {
     cfg.weights.margin = margin;
     cfg
 }
+
+/// `cfg` under each weight set that switches one Eq. 3 term off: λ = 0
+/// (a power pad trades places with any net at no cost), ρ = 0 (ID is not
+/// scored) and φ = 0 (ω is not scored). These are the inputs on which the
+/// kernel's per-net flags stop telling term-changing swaps apart.
+fn one_term_off(cfg: &ExchangeConfig) -> [(&'static str, ExchangeConfig); 3] {
+    let base = cfg.weights;
+    [
+        (
+            "lambda=0",
+            CostWeights {
+                lambda: 0.0,
+                ..base
+            },
+        ),
+        ("rho=0", CostWeights { rho: 0.0, ..base }),
+        ("phi=0", CostWeights { phi: 0.0, ..base }),
+    ]
+    .map(|(label, weights)| {
+        (
+            label,
+            ExchangeConfig {
+                weights,
+                ..cfg.clone()
+            },
+        )
+    })
+}
+
+/// The tier counts the one-term-off checks run at: planar, and stacked
+/// with two and four tiers.
+const TERM_OFF_TIERS: [u8; 3] = [1, 2, 4];
 
 fn assert_bit_identical(quadrant: &Quadrant, stack: &StackConfig, label: &str) {
     assert_bit_identical_under(quadrant, stack, 0.0, label);
@@ -197,6 +230,28 @@ fn stack_of(tiers: u8) -> StackConfig {
     }
 }
 
+#[test]
+fn trajectories_match_with_one_term_off_on_the_paper_circuits() {
+    let q = fig5_with_power();
+    let initial = dfa(&q, 1).expect("dfa");
+    for (term, cfg) in one_term_off(&config(2009)) {
+        let label = format!("fig5 psi=1 {term}");
+        assert_same_trajectory_under(&q, &initial, &StackConfig::planar(), &cfg, &label);
+    }
+    for circuit in circuits() {
+        for tiers in TERM_OFF_TIERS {
+            let spec = circuit.stacked(tiers);
+            let q = spec.build_quadrant().expect("circuit builds");
+            let stack = stack_of(tiers);
+            let initial = dfa(&q, 1).expect("dfa");
+            for (term, cfg) in one_term_off(&config(7)) {
+                let label = format!("{} psi={tiers} {term}", circuit.name);
+                assert_same_trajectory_under(&q, &initial, &stack, &cfg, &label);
+            }
+        }
+    }
+}
+
 /// Reduced large-family instances (64–160 nets), two of each ψ in
 /// {1, 2, 4, 8}, in index order.
 fn large_fuzz_instances() -> Vec<(Quadrant, u8, String)> {
@@ -269,6 +324,20 @@ fn trajectories_match_on_large_fuzz_instances() {
                 &cfg,
                 &format!("{label} mu={margin}"),
             );
+        }
+    }
+}
+
+#[test]
+fn trajectories_match_with_one_term_off_on_large_fuzz_instances() {
+    for (q, tiers, label) in large_fuzz_instances() {
+        if !TERM_OFF_TIERS.contains(&tiers) {
+            continue;
+        }
+        let initial = dfa(&q, 1).expect("dfa");
+        for (term, cfg) in one_term_off(&config(13)) {
+            let label = format!("{label} {term}");
+            assert_same_trajectory_under(&q, &initial, &stack_of(tiers), &cfg, &label);
         }
     }
 }
@@ -389,5 +458,22 @@ proptest! {
     ) {
         let stack = StackConfig::stacked(3).expect("valid stack");
         assert_same_trajectory(&q, &stack, seed, "proptest psi=3");
+    }
+
+    /// Same, with one of λ, ρ and φ off, at ψ ∈ {1, 2, 4}.
+    #[test]
+    fn trajectories_match_for_any_seed_with_one_term_off(
+        instance in (0usize..TERM_OFF_TIERS.len()).prop_flat_map(|i| {
+            let tiers = TERM_OFF_TIERS[i];
+            quadrant_strategy_tiered(tiers).prop_map(move |q| (q, tiers))
+        }),
+        term in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let (q, tiers) = instance;
+        let initial = dfa(&q, 1).expect("dfa");
+        let (label, cfg) = one_term_off(&config(seed))[term].clone();
+        let label = format!("proptest psi={tiers} {label}");
+        assert_same_trajectory_under(&q, &initial, &stack_of(tiers), &cfg, &label);
     }
 }
