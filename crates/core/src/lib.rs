@@ -65,6 +65,7 @@ mod cancel;
 mod config;
 mod delta;
 mod dfa;
+mod draw;
 mod error;
 mod exchange;
 mod ifa;
