@@ -9,7 +9,7 @@
 //! definitions ([`crate::SectionBaseline`], [`crate::omega`]).
 
 use copack_geom::{Assignment, FingerIdx, NetId, NetIndex, NetKind, Quadrant};
-use copack_power::{slot_delta_ir, slot_gap_squares};
+use copack_power::{slot_gap_squares, SlotRing};
 
 use crate::omega::check_tier;
 use crate::{CoreError, SectionBaseline};
@@ -235,7 +235,7 @@ impl OmegaTracker {
 
     /// [`OmegaTracker::apply_adjacent_swap`] on 0-based slots `i` and
     /// `i + 1`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn swap_slots(&mut self, i: usize) {
         assert!(i + 1 < self.bits.len(), "swap out of range");
         self.bits.swap(i, i + 1);
@@ -252,6 +252,13 @@ impl OmegaTracker {
             self.omega += u64::from(new_zeros);
             self.group_zeros[g] = new_zeros;
         }
+    }
+
+    /// Whether 0-based slots `i` and `i + 1` sit in one ψ-group, where a
+    /// swap leaves ω unchanged.
+    #[inline]
+    pub(crate) fn same_group(&self, i: usize) -> bool {
+        self.group_of[i] == self.group_of[i + 1]
     }
 
     /// Current ω.
@@ -287,11 +294,14 @@ const NO_PAD: u32 = u32::MAX;
 ///
 /// [`DeltaIrTracker::delta_ir`] is one call of the shared formula, which
 /// `exchange_reference` also scores with, so the kernel and the reference
-/// agree by construction.
+/// agree by construction. The pad count never changes, so the tracker
+/// keeps the formula's [`SlotRing`] and with it the denominator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaIrTracker {
     /// Finger count α.
     alpha: u64,
+    /// The pad count and α, for [`SlotRing::delta_ir`].
+    ring: SlotRing,
     /// The power pads' 0-based slots, sorted ascending.
     slots: Vec<u32>,
     /// Rank in `slots` of the power pad occupying each 0-based slot
@@ -324,6 +334,7 @@ impl DeltaIrTracker {
         let alpha = alpha as u64;
         Ok(Self {
             alpha,
+            ring: SlotRing::new(slots.len() as u64, alpha),
             gap_squares: slot_gap_squares(&slots, alpha),
             slots,
             rank_of_slot,
@@ -363,7 +374,8 @@ impl DeltaIrTracker {
     }
 
     /// The swap of 0-based slots `i` and `i + 1`; `true` iff a pad moved.
-    fn move_pad(&mut self, i: usize) -> bool {
+    #[inline(always)]
+    pub(crate) fn move_pad(&mut self, i: usize) -> bool {
         assert!(i + 1 < self.rank_of_slot.len(), "swap out of range");
         let (left, right) = (self.rank_of_slot[i], self.rank_of_slot[i + 1]);
         // Two power pads exchange nets, or neither slot holds one: the
@@ -406,8 +418,9 @@ impl DeltaIrTracker {
     /// tracked G. Returns `0.0` with no power pads — callers guard that
     /// case like the reference guards an empty pad set.
     #[must_use]
+    #[inline]
     pub fn delta_ir(&self) -> f64 {
-        slot_delta_ir(self.gap_squares, self.slots.len() as u64, self.alpha)
+        self.ring.delta_ir(self.gap_squares)
     }
 }
 
@@ -416,6 +429,7 @@ mod tests {
     use super::*;
     use crate::{dfa, omega_of_assignment, SectionBaseline};
     use copack_geom::{Quadrant, TierId};
+    use copack_power::slot_delta_ir;
     use rand::{Rng, SeedableRng};
 
     fn quadrant() -> Quadrant {

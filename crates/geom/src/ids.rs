@@ -65,6 +65,7 @@ impl FingerIdx {
     /// Panics if `pos` is zero; finger slots are 1-based like the paper's
     /// `F_1..F_α`.
     #[must_use]
+    #[inline]
     pub fn new(pos: u32) -> Self {
         assert!(pos > 0, "finger indices are 1-based");
         Self(pos)

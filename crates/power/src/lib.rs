@@ -71,4 +71,4 @@ pub use irmap::IrMap;
 pub use mg::{solve_mg, solve_mg_nodes, solve_mg_nodes_traced, solve_mg_traced};
 pub use pads::PadRing;
 pub use placement::{PadArray, PadPlan};
-pub use proxy::{slot_delta_ir, slot_gap_squares, PadSpacingProxy};
+pub use proxy::{slot_delta_ir, slot_gap_squares, PadSpacingProxy, SlotRing};

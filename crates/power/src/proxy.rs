@@ -118,22 +118,66 @@ pub fn slot_gap_squares(slots: &[u32], alpha: u64) -> u64 {
 /// division: rings that are equal in exact arithmetic score equal. It
 /// agrees with the float sum over `(slot + 0.5) / α` coordinates to
 /// rounding error. No pads score 0.
+///
+/// A caller that scores many rings of one pad count and ring size builds
+/// the [`SlotRing`] once and calls [`SlotRing::delta_ir`]: the same
+/// formula with its denominator kept.
 #[must_use]
 pub fn slot_delta_ir(gap_squares: u64, pads: u64, alpha: u64) -> f64 {
-    if pads == 0 {
-        return 0.0;
+    SlotRing::new(pads, alpha).delta_ir(gap_squares)
+}
+
+/// The parts of [`slot_delta_ir`] that depend only on the pad count `k`
+/// and the ring size `α`: a pad-spacing score whose denominator `k·α²`
+/// is converted to `f64` once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlotRing {
+    pads: u64,
+    alpha: u64,
+    /// `(k·α²) as f64`.
+    denominator: f64,
+}
+
+// The denominator is a finite function of the integer fields.
+impl Eq for SlotRing {}
+
+impl SlotRing {
+    /// The ring of `pads` pads on `alpha` slots.
+    #[must_use]
+    pub fn new(pads: u64, alpha: u64) -> Self {
+        // Below 2²¹ fingers every product fits u64.
+        let denominator = if alpha < 1 << 21 {
+            (pads * alpha * alpha) as f64
+        } else {
+            (u128::from(pads) * u128::from(alpha) * u128::from(alpha)) as f64
+        };
+        Self {
+            pads,
+            alpha,
+            denominator,
+        }
     }
-    // Below 2²¹ fingers every product fits u64.
-    if alpha < 1 << 21 {
-        let a2 = alpha * alpha;
-        return (pads * gap_squares - a2) as f64 / (pads * a2) as f64;
+
+    /// [`slot_delta_ir`] of this ring with square-gap sum `gap_squares`.
+    #[must_use]
+    #[inline]
+    pub fn delta_ir(&self, gap_squares: u64) -> f64 {
+        if self.pads == 0 {
+            return 0.0;
+        }
+        if self.alpha < 1 << 21 {
+            // `k·G − α² ≤ α³ < 2⁶³`, so its conversion through `i64` gives
+            // the same value as through `u64`, without the unsigned fix-up.
+            let numerator = self.pads * gap_squares - self.alpha * self.alpha;
+            return numerator as i64 as f64 / self.denominator;
+        }
+        let (k, g, a2) = (
+            u128::from(self.pads),
+            u128::from(gap_squares),
+            u128::from(self.alpha) * u128::from(self.alpha),
+        );
+        (k * g - a2) as f64 / self.denominator
     }
-    let (k, g, a2) = (
-        u128::from(pads),
-        u128::from(gap_squares),
-        u128::from(alpha) * u128::from(alpha),
-    );
-    (k * g - a2) as f64 / (k * a2) as f64
 }
 
 #[cfg(test)]
@@ -187,6 +231,28 @@ mod tests {
         let g = slot_gap_squares(&[0, 1], alpha);
         let want = (2.0 * g as f64 - (alpha as f64).powi(2)) / (2.0 * (alpha as f64).powi(2));
         assert!((slot_delta_ir(g, 2, alpha) - want).abs() <= 1e-15);
+    }
+
+    #[test]
+    fn a_kept_ring_scores_as_the_unsigned_formula() {
+        // The parent formula, converting the numerator from u64.
+        let unsigned = |g: u64, k: u64, alpha: u64| {
+            let a2 = alpha * alpha;
+            (k * g - a2) as f64 / (k * a2) as f64
+        };
+        for (slots, alpha) in [
+            (&[0u32][..], 1u64),
+            (&[3], 10),
+            (&[0, 1, 2, 3], 40),
+            (&[7, 130, 131, 600, 999], 1000),
+            (&[0, 1], (1 << 21) - 1),
+        ] {
+            let g = slot_gap_squares(slots, alpha);
+            let ring = SlotRing::new(slots.len() as u64, alpha);
+            let want = unsigned(g, slots.len() as u64, alpha);
+            assert_eq!(ring.delta_ir(g).to_bits(), want.to_bits(), "{slots:?}");
+        }
+        assert_eq!(SlotRing::new(0, 9).delta_ir(0), 0.0);
     }
 
     #[test]

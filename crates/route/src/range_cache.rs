@@ -116,7 +116,7 @@ impl RangeCache {
     /// # Panics
     ///
     /// Panics if `idx` or a neighbour index exceeds `positions`.
-    #[inline]
+    #[inline(always)]
     pub fn note_moved(&mut self, idx: usize, positions: &[u32]) {
         let r = self.right[idx];
         if r != NO_NEIGHBOUR {
