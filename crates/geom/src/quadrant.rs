@@ -380,6 +380,21 @@ impl Quadrant {
             self.finger_line_y(),
         )
     }
+
+    /// [`Quadrant::finger_center`] for a slot that may lie beyond the
+    /// quadrant's fingers, as a slot of a wider assignment can.
+    ///
+    /// # Errors
+    ///
+    /// [`GeomError::SlotOutOfRange`] if `a` exceeds
+    /// [`Quadrant::finger_count`].
+    pub fn checked_finger_center(&self, a: FingerIdx) -> Result<Point, GeomError> {
+        let (slot, fingers) = (a.zero_based(), self.fingers);
+        if slot >= fingers {
+            return Err(GeomError::SlotOutOfRange { slot, fingers });
+        }
+        Ok(self.finger_center(a))
+    }
 }
 
 /// Builder for [`Quadrant`]; see [`Quadrant::builder`].

@@ -280,7 +280,7 @@ pub(crate) fn sweep(
                 }
                 // Only a crossing wire needs its finger centre, so a
                 // top-row net may sit in a slot the quadrant lacks.
-                let fx = quadrant.finger_center(finger).x;
+                let fx = quadrant.checked_finger_center(finger)?.x;
                 let wire = Wire {
                     net,
                     finger,
