@@ -90,10 +90,6 @@ fn run_mode(
     .expect("portfolio runs")
 }
 
-fn run(q: &Quadrant, seed: u64, starts: u32, prune_margin: f64, threads: usize) -> PortfolioResult {
-    run_mode(q, seed, starts, prune_margin, threads, PortfolioMode::Race)
-}
-
 /// Strategy for the prune margin: pruning off, aggressive, and the
 /// default — the determinism contract must hold under all of them.
 fn margin_strategy() -> impl Strategy<Value = f64> {
@@ -151,17 +147,21 @@ proptest! {
     }
 
     /// Pruned starts never affect the reduction: the winner is always a
-    /// start that survived to the end, every pruned start's frozen best
-    /// is strictly worse than the winning cost, and turning pruning off
-    /// entirely never yields a better winner than the pruned portfolio
-    /// found (pruning only discards provably-trailing trajectories).
+    /// start that survived to the end, and every pruned start's best at
+    /// its prune is strictly worse than the winning cost, in `race` and
+    /// `coop` (whose adaptive margin only widens the base) at the zero
+    /// and the default margin. A start is pruned only above start 0's
+    /// best so far, which start 0 — never pruned — can only improve on.
     #[test]
     fn pruned_starts_never_affect_the_reduction(
         q in quadrant_strategy(1),
         seed in any::<u64>(),
         starts in 2u32..=6,
+        margin in (0usize..2).prop_map(|i| [0.0, 0.25][i]),
+        coop in any::<bool>(),
     ) {
-        let pruned = run(&q, seed, starts, 0.0, 1);
+        let mode = if coop { PortfolioMode::Coop } else { PortfolioMode::Race };
+        let pruned = run_mode(&q, seed, starts, margin, 1, mode);
         let winner = pruned
             .starts
             .iter()

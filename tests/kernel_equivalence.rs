@@ -371,16 +371,19 @@ fn large_1k_side_kernel_matches_reference_with_a_short_schedule() {
     }
 }
 
-/// Sparse quadrants: empty fingers beside the nets, planar and stacked
-/// (where ω is recounted every move rather than tracked).
-#[test]
-fn sparse_quadrants_kernel_matches_reference() {
-    let circuit3 = circuits()[2].stacked(4);
-    let mut cases = vec![(
-        with_spare_fingers(&circuit3.build_quadrant().expect("builds"), 9),
-        4u8,
-        "circuit 3 psi=4 +9 fingers".to_owned(),
-    )];
+/// Sparse quadrants: circuit 3 at ψ = `circuit_tiers` with 9 empty
+/// fingers, and every other reduced large-family instance with 13, each
+/// with its DFA order (which leaves fingers empty).
+fn sparse_cases(circuit_tiers: &[u8]) -> Vec<(Quadrant, u8, String, Assignment)> {
+    let mut cases = Vec::new();
+    for &tiers in circuit_tiers {
+        let circuit3 = circuits()[2].stacked(tiers);
+        cases.push((
+            with_spare_fingers(&circuit3.build_quadrant().expect("builds"), 9),
+            tiers,
+            format!("circuit 3 psi={tiers} +9 fingers"),
+        ));
+    }
     for (q, tiers, label) in large_fuzz_instances().into_iter().step_by(2) {
         cases.push((
             with_spare_fingers(&q, 13),
@@ -388,14 +391,42 @@ fn sparse_quadrants_kernel_matches_reference() {
             format!("{label} +13 fingers"),
         ));
     }
-    for (q, tiers, label) in cases {
-        assert!(q.finger_count() > q.net_count(), "{label} is sparse");
-        let initial = dfa(&q, 1).expect("dfa");
-        assert!(initial.finger_count() > initial.net_count(), "{label}");
+    cases
+        .into_iter()
+        .map(|(q, tiers, label)| {
+            assert!(q.finger_count() > q.net_count(), "{label} is sparse");
+            let initial = dfa(&q, 1).expect("dfa");
+            assert!(initial.finger_count() > initial.net_count(), "{label}");
+            (q, tiers, label, initial)
+        })
+        .collect()
+}
+
+/// Sparse quadrants: empty fingers beside the nets, planar and stacked
+/// (where ω is recounted every move rather than tracked).
+#[test]
+fn sparse_quadrants_kernel_matches_reference() {
+    for (q, tiers, label, initial) in sparse_cases(&[4]) {
         for margin in MARGINS {
             let label = format!("{label} mu={margin}");
             assert_bit_identical_under(&q, &stack_of(tiers), margin, &label);
             let cfg = with_margin(config(5), margin);
+            assert_same_trajectory_under(&q, &initial, &stack_of(tiers), &cfg, &label);
+        }
+    }
+}
+
+/// The sparse quadrants with each of λ, ρ and φ off in turn, at
+/// ψ ∈ {1, 2, 4}: a move into an empty finger, and ω recounted rather
+/// than tracked, under every weight set that switches a term's flag off.
+#[test]
+fn trajectories_match_with_one_term_off_on_sparse_quadrants() {
+    for (q, tiers, label, initial) in sparse_cases(&TERM_OFF_TIERS) {
+        if !TERM_OFF_TIERS.contains(&tiers) {
+            continue;
+        }
+        for (term, cfg) in one_term_off(&config(5)) {
+            let label = format!("{label} {term}");
             assert_same_trajectory_under(&q, &initial, &stack_of(tiers), &cfg, &label);
         }
     }
@@ -474,6 +505,30 @@ proptest! {
         let initial = dfa(&q, 1).expect("dfa");
         let (label, cfg) = one_term_off(&config(seed))[term].clone();
         let label = format!("proptest psi={tiers} {label}");
+        assert_same_trajectory_under(&q, &initial, &stack_of(tiers), &cfg, &label);
+    }
+
+    /// Same over sparse quadrants (1–8 spare fingers, so moves into empty
+    /// slots and, at ψ > 1, a recounted ω), with every term on or one of
+    /// λ, ρ and φ off.
+    #[test]
+    fn trajectories_match_for_any_seed_on_sparse_quadrants(
+        instance in (0usize..TERM_OFF_TIERS.len()).prop_flat_map(|i| {
+            let tiers = TERM_OFF_TIERS[i];
+            quadrant_strategy_tiered(tiers).prop_map(move |q| (q, tiers))
+        }),
+        spare in 1usize..=8,
+        term in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let (q, tiers) = instance;
+        let q = with_spare_fingers(&q, spare);
+        let initial = dfa(&q, 1).expect("dfa");
+        let (label, cfg) = match term {
+            3 => ("all terms", config(seed)),
+            _ => one_term_off(&config(seed))[term].clone(),
+        };
+        let label = format!("proptest psi={tiers} +{spare} fingers {label}");
         assert_same_trajectory_under(&q, &initial, &stack_of(tiers), &cfg, &label);
     }
 }
