@@ -56,14 +56,6 @@ impl TraceBuffer {
         self.events.is_empty()
     }
 
-    /// Appends all of `other`'s events to this buffer, in order.
-    /// Deterministic merging is the caller's job: replay per-worker
-    /// buffers in a fixed structural order (e.g. package sides in
-    /// `QuadrantSide::ALL` order), never in thread-completion order.
-    pub fn absorb(&mut self, other: TraceBuffer) {
-        self.events.extend(other.into_events());
-    }
-
     /// Appends one event directly (for callers that are not event
     /// sources themselves, e.g. the CLI emitting [`Event::Note`]s).
     pub fn push(&mut self, event: Event) {
@@ -97,18 +89,5 @@ mod tests {
         });
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.events()[0], Event::SideBegin { side: 2 });
-    }
-
-    #[test]
-    fn absorb_preserves_order() {
-        let mut a = TraceBuffer::new();
-        a.record(&Event::SideBegin { side: 0 });
-        let mut b = TraceBuffer::new();
-        b.record(&Event::SideBegin { side: 1 });
-        a.absorb(b);
-        assert_eq!(
-            a.into_events(),
-            vec![Event::SideBegin { side: 0 }, Event::SideBegin { side: 1 }]
-        );
     }
 }

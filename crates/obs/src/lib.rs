@@ -14,12 +14,13 @@
 //!   solver sweeps, density evaluations, package-side markers), each
 //!   hand-serialisable to one JSON line (this crate has no deps).
 //! * [`NoopRecorder`] — the free default.
-//! * [`TraceBuffer`] — in-memory capture; one per worker thread, merged
-//!   deterministically in structural (side) order via
-//!   [`TraceBuffer::absorb`].
+//! * [`TraceBuffer`] — in-memory capture; one per worker thread. The
+//!   parallel callers (package sides, portfolio starts) merge by
+//!   recording each buffer's events into the caller's recorder in
+//!   structural order (side, then start index), never in
+//!   thread-completion order.
 //! * [`JsonlSink`] — streaming JSONL file sink that goes inert on the
 //!   first I/O error instead of killing the run.
-//! * [`FanoutRecorder`] — tee to two sinks.
 //! * [`TraceSummary`] and the replay helpers — post-hoc analysis used by
 //!   `--metrics`, `bench_exchange`, and the trace-invariant tests.
 
@@ -36,7 +37,7 @@ mod summary;
 pub use buffer::TraceBuffer;
 pub use event::{Event, Solver};
 pub use jsonl::{JsonlSink, ObsError};
-pub use recorder::{FanoutRecorder, NoopRecorder, Recorder};
+pub use recorder::{NoopRecorder, Recorder};
 pub use signals::{early_signals, EarlySignals};
 pub use summary::{
     acceptance_curve, accepted_signature, portfolio_cost_curves, replay_final_cost, residual_curve,

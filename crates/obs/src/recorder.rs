@@ -51,75 +51,14 @@ impl Recorder for NoopRecorder {
     fn record(&mut self, _event: &Event) {}
 }
 
-/// Duplicates every event to two recorders (e.g. a [`TraceBuffer`]
-/// for in-process summaries and a [`JsonlSink`] for the `--trace` file).
-///
-/// [`TraceBuffer`]: crate::TraceBuffer
-/// [`JsonlSink`]: crate::JsonlSink
-pub struct FanoutRecorder<'a> {
-    first: &'a mut dyn Recorder,
-    second: &'a mut dyn Recorder,
-}
-
-impl<'a> FanoutRecorder<'a> {
-    /// Fans events out to `first` then `second`, in that order.
-    pub fn new(first: &'a mut dyn Recorder, second: &'a mut dyn Recorder) -> Self {
-        Self { first, second }
-    }
-}
-
-impl Recorder for FanoutRecorder<'_> {
-    fn enabled(&self) -> bool {
-        self.first.enabled() || self.second.enabled()
-    }
-
-    fn wants_rejected(&self) -> bool {
-        self.first.wants_rejected() || self.second.wants_rejected()
-    }
-
-    fn record(&mut self, event: &Event) {
-        if self.first.enabled() {
-            self.first.record(event);
-        }
-        if self.second.enabled() {
-            self.second.record(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceBuffer;
 
     #[test]
     fn noop_is_disabled() {
         let r = NoopRecorder;
         assert!(!r.enabled());
         assert!(!r.wants_rejected());
-    }
-
-    #[test]
-    fn fanout_combines_flags_and_duplicates() {
-        let mut a = TraceBuffer::new();
-        let mut b = TraceBuffer::with_rejected();
-        let mut fan = FanoutRecorder::new(&mut a, &mut b);
-        assert!(fan.enabled());
-        assert!(fan.wants_rejected());
-        fan.record(&Event::SideBegin { side: 1 });
-        assert_eq!(a.events().len(), 1);
-        assert_eq!(b.events().len(), 1);
-        assert_eq!(a.events(), b.events());
-    }
-
-    #[test]
-    fn fanout_skips_disabled_arm() {
-        let mut a = NoopRecorder;
-        let mut b = TraceBuffer::new();
-        let mut fan = FanoutRecorder::new(&mut a, &mut b);
-        assert!(fan.enabled());
-        assert!(!fan.wants_rejected());
-        fan.record(&Event::SideBegin { side: 0 });
-        assert_eq!(b.events().len(), 1);
     }
 }
