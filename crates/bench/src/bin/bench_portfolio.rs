@@ -1,11 +1,11 @@
 //! Machine-readable portfolio-annealing benchmark: for every Table 1
 //! circuit, sweep the portfolio width (quality vs. starts at a fixed
 //! thread count), the worker count (wall clock vs. threads at a fixed
-//! width), and the cooperation mode (quality vs. `race`/`coop`/`temper`
-//! at an equal move budget), asserting the structural guarantees along
-//! the way — the K-start winner is never worse than the single start it
+//! width), and the cooperation mode (quality vs. `race`/`coop` at an
+//! equal move budget), asserting the structural guarantees along the
+//! way — the K-start winner is never worse than the single start it
 //! contains, the winner is bit-identical for every thread count, and
-//! the cooperative modes never lose to `race` at the same budget.
+//! `coop` never loses to `race` at the same budget.
 //! Writes the curves to `BENCH_portfolio.json` for tracking across
 //! commits.
 //!
@@ -53,11 +53,9 @@ fn bench_config() -> ExchangeConfig {
 }
 
 /// The schedule for the quality-vs-mode sweep. Deeper than the starved
-/// width sweep on purpose: on a one-shot starved ramp the hot rungs of
-/// a tempering ladder have only a few steps to cool in. The paper-style
-/// claim the mode gate pins — cooperation never loses at an equal move
-/// budget — is about schedules deep enough for the ladder (and
-/// `coop`'s crossover respawns) to actually mix.
+/// width sweep on purpose: the claim the mode gate pins — cooperation
+/// never loses at an equal move budget — is about schedules deep enough
+/// for `coop`'s crossover respawns to re-anneal what they inherit.
 fn mode_config() -> ExchangeConfig {
     ExchangeConfig {
         schedule: Schedule {
@@ -71,12 +69,8 @@ fn mode_config() -> ExchangeConfig {
 }
 
 /// The cooperation modes the quality gate sweeps, `race` first (it is
-/// the baseline the other two are compared against).
-const MODES: [PortfolioMode; 3] = [
-    PortfolioMode::Race,
-    PortfolioMode::Coop,
-    PortfolioMode::Temper,
-];
+/// the baseline `coop` is compared against).
+const MODES: [PortfolioMode; 2] = [PortfolioMode::Race, PortfolioMode::Coop];
 
 /// One portfolio configuration's measurements.
 struct Sample {
@@ -129,11 +123,11 @@ fn width(starts: u32, threads: usize) -> PortfolioConfig {
     }
 }
 
-/// Runs the three cooperation modes at an equal move budget and asserts
-/// the never-worse gate: `coop` and `temper` winner costs must not
-/// exceed `race`'s on the same instance, schedule, and seed. `template`
-/// carries the portfolio shape (starts, sync epochs, ladder ratio); the
-/// mode is overridden per run. Returns the samples in `MODES` order.
+/// Runs both cooperation modes at an equal move budget and asserts the
+/// never-worse gate: `coop`'s winner cost must not exceed `race`'s on
+/// the same instance, schedule, and seed. `template` carries the
+/// portfolio shape (starts, sync epochs, kick size); the mode is
+/// overridden per run. Returns the samples in `MODES` order.
 fn mode_sweep(
     name: &str,
     quadrant: &Quadrant,
@@ -153,18 +147,13 @@ fn mode_sweep(
             run_portfolio(quadrant, initial, stack, config, &portfolio)
         })
         .collect();
-    let race = sweep[0].cost;
+    let (race, coop) = (sweep[0].cost, sweep[1].cost);
     // ULP headroom, not a quality band. The Δ_IR term is exact, so plans
     // equal in exact arithmetic already score bit-equal.
-    let gate = race * (1.0 + 1e-12);
-    for (mode, sample) in MODES.iter().zip(&sweep).skip(1) {
-        assert!(
-            sample.cost <= gate,
-            "{name}: {} winner ({:.17e}) lost to race ({race:.17e}) at an equal move budget",
-            mode.as_str(),
-            sample.cost
-        );
-    }
+    assert!(
+        coop <= race * (1.0 + 1e-12),
+        "{name}: coop winner ({coop:.17e}) lost to race ({race:.17e}) at an equal move budget"
+    );
     sweep
 }
 
@@ -177,12 +166,11 @@ fn json_mode_sweep(out: &mut String, template: &PortfolioConfig, sweep: &[Sample
         let _ = write!(
             out,
             "{{\"mode\": \"{}\", \"starts\": {}, \"sync_epochs\": {}, \"kick_size\": {}, \
-             \"ladder_ratio\": {}, \"cost\": {:.6}, \"pruned\": {}, \"wall\": {{{}}}}}",
+             \"cost\": {:.6}, \"pruned\": {}, \"wall\": {{{}}}}}",
             mode.as_str(),
             s.starts,
             template.sync_epochs,
             template.kick_size,
-            template.ladder_ratio,
             s.cost,
             s.pruned,
             s.wall.json_fields()
@@ -282,7 +270,7 @@ fn main() {
         println!(
             "{}: K=1 cost {:.4} -> K=8 cost {:.4} (winner start {}, {} pruned); \
              1 thread {:.3} s -> {} threads {:.3} s; \
-             race {:.4} / coop {:.4} / temper {:.4}",
+             race {:.4} / coop {:.4}",
             &circuit.name,
             baseline,
             widest.cost,
@@ -293,7 +281,6 @@ fn main() {
             scaling.last().expect("non-empty sweep").wall.median,
             modes[0].cost,
             modes[1].cost,
-            modes[2].cost,
         );
 
         let _ = writeln!(json, "    {{\"name\": \"{}\",", circuit.name);
@@ -334,13 +321,12 @@ fn main() {
 /// workers must finish the same portfolio in less wall time than one —
 /// alongside the usual bit-identity of the winner across every thread
 /// count. Both the 1k and 4k presets then run the quality-vs-mode gate:
-/// `coop` and `temper` must not lose to `race` at an equal move budget
-/// at industrial scale either.
+/// `coop` must not lose to `race` at an equal move budget at industrial
+/// scale either.
 fn bench_large(json: &mut String) {
     // A fuller schedule than the Table 1 sweep: enough annealing per
     // start that the work, not the thread plumbing, dominates. Doubles
-    // as the mode-gate schedule at this scale (deep enough for the
-    // temperature ladder to mix).
+    // as the mode-gate schedule at this scale.
     let config = ExchangeConfig {
         schedule: Schedule {
             moves_per_temp_per_finger: 2,
@@ -423,17 +409,12 @@ fn bench_large(json: &mut String) {
             scaling
         });
 
-        // At industrial scale the ladder needs room to mix before the
-        // gate is meaningful: at least as many barriers as rungs (so a
-        // good configuration can percolate down the ladder) and a soft
-        // ratio (so adjacent rungs overlap enough for Metropolis swaps
-        // to fire). With the Table 1 defaults (4 barriers, ratio 1.5)
-        // one swap of nine proposed fires on large-4k, and the ladder
-        // cannot mix.
+        // Eight sync barriers rather than the default four: over this
+        // longer schedule they give pruning and `coop`'s crossover
+        // respawns twice as many decision points.
         let mode_shape = PortfolioConfig {
             starts: *WIDTHS.last().expect("widths"),
             sync_epochs: 8,
-            ladder_ratio: 1.1,
             ..PortfolioConfig::default()
         };
         let modes = mode_sweep(
@@ -445,8 +426,8 @@ fn bench_large(json: &mut String) {
             &mode_shape,
         );
         println!(
-            "{}: race {:.4} / coop {:.4} / temper {:.4} at K=8",
-            spec.name, modes[0].cost, modes[1].cost, modes[2].cost
+            "{}: race {:.4} / coop {:.4} at K=8",
+            spec.name, modes[0].cost, modes[1].cost
         );
 
         let _ = writeln!(json, "    {{\"name\": \"{}\",", spec.name);

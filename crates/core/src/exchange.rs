@@ -470,9 +470,9 @@ impl<'a> ExchangeDriver<'a> {
 
         // The journal is reserved once at the run's proposal bound, so it
         // never copies itself while it grows; capacity that is never
-        // touched is never resident. If the reservation fails, or a
-        // tempering swap stretches the run past the bound, it grows as
-        // any `Vec` does.
+        // touched is never resident. If the reservation fails, or float
+        // rounding runs the schedule a step past `temperature_steps()`,
+        // it grows as any `Vec` does.
         let moves_per_temp = config.schedule.moves_per_temp_per_finger * alpha;
         let mut journal = Vec::new();
         let _ = journal
@@ -566,34 +566,6 @@ impl<'a> ExchangeDriver<'a> {
     /// Best cost seen so far (the initial cost before any step).
     pub(crate) fn best_cost(&self) -> f64 {
         self.best_cost
-    }
-
-    /// Cost of the *current* (not best) state — what a tempering swap
-    /// decision must look at, since the plan a rung would hand over is
-    /// its live trajectory, not its best prefix.
-    pub(crate) fn current_cost(&self) -> f64 {
-        self.current_cost
-    }
-
-    /// The current temperature.
-    pub(crate) fn temperature(&self) -> f64 {
-        self.temperature
-    }
-
-    /// Exchanges thermal states — temperature, final temperature and
-    /// cooling factor — with `other`, for a tempering swap.
-    ///
-    /// The triple is the rung: a rung's temperatures are the products of
-    /// its own cooling factor, so the driver that takes it over continues
-    /// the same sequence to the same step count, and the ladder stays in
-    /// lockstep across sync epochs. Exchanging thermal states while plans,
-    /// journals and RNG streams stay put is observably identical to the
-    /// textbook "swap the configurations" formulation, but keeps every
-    /// cost ledger and the journal-replay contract trivially intact.
-    pub(crate) fn swap_thermal(&mut self, other: &mut Self) {
-        std::mem::swap(&mut self.temperature, &mut other.temperature);
-        std::mem::swap(&mut self.final_temp, &mut other.final_temp);
-        std::mem::swap(&mut self.cooling, &mut other.cooling);
     }
 
     /// The accepted-move journal so far, as `(pos, target)` pairs.

@@ -103,8 +103,7 @@ pub use pipeline::{
 };
 pub use portfolio::{
     derive_seed, exchange_portfolio, exchange_portfolio_cancellable, exchange_portfolio_traced,
-    replay_journal, tempering_swap_accepts, tempering_swap_draw, tempering_swap_probability,
-    PortfolioConfig, PortfolioMode, PortfolioResult, StartReport,
+    replay_journal, PortfolioConfig, PortfolioMode, PortfolioResult, StartReport,
 };
 pub use random::random_assignment;
 pub use sections::{increased_density, SectionBaseline};

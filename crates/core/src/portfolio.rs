@@ -15,8 +15,7 @@
 //!   in `copack-verify`).
 //! * **Never worse than one start.** Start 0 anneals with the base seed
 //!   itself ([`derive_seed`]`(base, 0) == base`) and is exempt from
-//!   pruning and from tempering swaps — it always runs its full
-//!   schedule at the base temperatures, exactly as a plain
+//!   pruning — it always runs its full schedule, exactly as a plain
 //!   [`crate::exchange`] with the same seed would — and the reduction
 //!   picks the minimum best-so-far cost, so the portfolio's winner costs
 //!   at most what the single-start run would. (Pruning start 0 on an
@@ -56,17 +55,15 @@
 //! # Cooperative modes
 //!
 //! [`PortfolioMode`] selects how the starts relate: `race` (the default,
-//! bit-identical to the pre-mode portfolio), `coop` (leader crossover on
-//! respawn plus an adaptive prune margin) and `temper` (a parallel
-//! tempering ladder with deterministic Metropolis swaps at epoch
-//! barriers). All three keep the byte-identical-across-threads contract:
-//! every mode-specific decision — the crossover parent, the kick swaps,
-//! the adaptive margin, each swap verdict — is taken at the barrier, in
-//! start-index order, from values that do not depend on thread
-//! scheduling. A crossover respawn's journal is re-based onto the
-//! portfolio's initial order by storing the parent's best prefix (plus
-//! kick swaps) and prepending it on reduction, so the replay contract
-//! holds in every mode.
+//! bit-identical to the pre-mode portfolio) or `coop` (leader crossover
+//! on respawn plus an adaptive prune margin). Both keep the
+//! byte-identical-across-threads contract: every mode-specific decision
+//! — the crossover parent, the kick swaps, the adaptive margin — is
+//! taken at the barrier, in start-index order, from values that do not
+//! depend on thread scheduling. A crossover respawn's journal is
+//! re-based onto the portfolio's initial order by storing the parent's
+//! best prefix (plus kick swaps) and prepending it on reduction, so the
+//! replay contract holds in both modes.
 
 use copack_geom::{Assignment, FingerIdx, Quadrant, StackConfig};
 use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
@@ -96,15 +93,6 @@ pub enum PortfolioMode {
     /// barrier (never below the configured base margin, so every start
     /// that survives a `Race` portfolio also survives here).
     Coop,
-    /// Parallel tempering: start `r` anneals on temperature rung
-    /// `initial_temp_factor · ladder_ratio^r`, cooling faster so that
-    /// every rung reaches the base final temperature in the base step
-    /// count; nothing is ever pruned, and adjacent rungs propose a
-    /// deterministic Metropolis swap of thermal states at each epoch
-    /// barrier (even pairs on even barriers, odd pairs on odd ones).
-    /// Rung 0 never swaps, so it anneals exactly as start 0 does in
-    /// the other modes.
-    Temper,
 }
 
 impl PortfolioMode {
@@ -115,7 +103,6 @@ impl PortfolioMode {
         match self {
             Self::Race => "race",
             Self::Coop => "coop",
-            Self::Temper => "temper",
         }
     }
 
@@ -125,7 +112,6 @@ impl PortfolioMode {
         match tag {
             "race" => Some(Self::Race),
             "coop" => Some(Self::Coop),
-            "temper" => Some(Self::Temper),
             _ => None,
         }
     }
@@ -155,13 +141,8 @@ pub struct PortfolioConfig {
     pub mode: PortfolioMode,
     /// `Coop` only: number of seeded adjacent swaps a crossover respawn
     /// applies to the leader's plan before re-annealing, `≥ 1`. Inert in
-    /// the other modes.
+    /// `Race`.
     pub kick_size: u32,
-    /// `Temper` only: geometric spacing of the temperature ladder,
-    /// `≥ 1.0` and finite (rung `r` heats the initial temperature by
-    /// `ladder_ratio^r`; `1.0` collapses the ladder onto one rung).
-    /// Inert in the other modes.
-    pub ladder_ratio: f64,
 }
 
 impl Default for PortfolioConfig {
@@ -173,7 +154,6 @@ impl Default for PortfolioConfig {
             threads: 0,
             mode: PortfolioMode::Race,
             kick_size: 4,
-            ladder_ratio: 1.5,
         }
     }
 }
@@ -182,12 +162,7 @@ impl PortfolioConfig {
     /// Whether the configuration is usable.
     #[must_use]
     pub fn is_valid(&self) -> bool {
-        self.starts >= 1
-            && self.sync_epochs >= 1
-            && self.prune_margin >= 0.0
-            && self.kick_size >= 1
-            && self.ladder_ratio.is_finite()
-            && self.ladder_ratio >= 1.0
+        self.starts >= 1 && self.sync_epochs >= 1 && self.prune_margin >= 0.0 && self.kick_size >= 1
     }
 }
 
@@ -275,52 +250,6 @@ pub fn replay_journal(
 /// stream, so kick randomness never collides with the per-start
 /// annealing seeds derived from the same base.
 const KICK_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Metropolis acceptance probability of a tempering swap between two
-/// rungs holding states of cost `cost_a`/`cost_b` at temperatures
-/// `temp_a`/`temp_b`: `min(1, exp((1/Tₐ − 1/T_b)(Eₐ − E_b)))`.
-///
-/// Exposed so `tests/tempering_invariants.rs` can re-derive every swap
-/// verdict from the `PortfolioSwap` event fields alone.
-#[must_use]
-pub fn tempering_swap_probability(cost_a: f64, cost_b: f64, temp_a: f64, temp_b: f64) -> f64 {
-    let beta_a = 1.0 / temp_a.max(f64::MIN_POSITIVE);
-    let beta_b = 1.0 / temp_b.max(f64::MIN_POSITIVE);
-    ((beta_a - beta_b) * (cost_a - cost_b)).exp().min(1.0)
-}
-
-/// The uniform draw a tempering swap compares against: the SplitMix64
-/// finalizer over `(seed, epoch, rung)`, mapped to `[0, 1)`. Epoch-major
-/// and start-indexed, so the verdict is a pure function of the barrier —
-/// never of thread scheduling.
-#[must_use]
-pub fn tempering_swap_draw(seed: u64, epoch: u32, rung: u32) -> f64 {
-    let lane = (u64::from(epoch) << 32) | u64::from(rung);
-    let mut z = seed
-        .wrapping_add(0x632B_E592_86AA_633B)
-        .wrapping_add(lane.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Whether the rung pair `(rung, rung+1)` swaps thermal states at
-/// `epoch`: draw < probability, both sides deterministic functions of
-/// `(seed, epoch, rung, costs, temps)`.
-#[must_use]
-pub fn tempering_swap_accepts(
-    seed: u64,
-    epoch: u32,
-    rung: u32,
-    cost_a: f64,
-    cost_b: f64,
-    temp_a: f64,
-    temp_b: f64,
-) -> bool {
-    tempering_swap_draw(seed, epoch, rung)
-        < tempering_swap_probability(cost_a, cost_b, temp_a, temp_b)
-}
 
 /// Applies up to `kick_size` seeded adjacent swaps to `a`, each checked
 /// against the kernel's own range constraint (mover's target inside its
@@ -553,24 +482,10 @@ pub fn exchange_portfolio_cancellable(
     let mode = portfolio.mode;
     let spawn = |start: u32, cross: Option<CrossoverSpawn>| -> Result<Run<'_>, CoreError> {
         let seed = derive_seed(config.seed, start);
-        let mut cfg = ExchangeConfig {
+        let cfg = ExchangeConfig {
             seed,
             ..config.clone()
         };
-        if mode == PortfolioMode::Temper && start > 0 {
-            // Temperature rung `start` starts `heat` times hotter and
-            // cools faster by `heat^(-1/steps)` per step, so it reaches
-            // the base final temperature in the base step count: the
-            // ladder stays in lockstep, and every rung ends as cold as a
-            // `race` start.
-            let heat = portfolio
-                .ladder_ratio
-                .powi(i32::try_from(start).expect("start index fits i32"));
-            let steps = total_steps as f64;
-            cfg.schedule.initial_temp_factor *= heat;
-            cfg.schedule.final_temp_ratio /= heat;
-            cfg.schedule.cooling *= heat.powf(-steps.recip());
-        }
         let (plan, prefix, origin) = match cross {
             Some(c) => (
                 Some(c.plan),
@@ -665,56 +580,6 @@ pub fn exchange_portfolio_cancellable(
         // start 0 (always `runs[0]`, never pruned) has completed exactly
         // one epoch per round.
         let barrier_epoch = runs[0].epochs_done.saturating_sub(1);
-
-        if mode == PortfolioMode::Temper {
-            // Parallel tempering: no pruning — every rung survives to the
-            // end — and adjacent rungs propose a Metropolis swap of
-            // thermal states while the whole ladder is still live.
-            // Even-indexed pairs on even barriers, odd-indexed on odd
-            // ones, each verdict a pure function of (seed, barrier, rung,
-            // current costs, temperatures) — epoch-major, so threads
-            // 1 and N agree bit-for-bit. Rung 0 never swaps: it is the
-            // caller's plain anneal, as start 0 is in the other modes,
-            // so the winner is never worse than a single start.
-            if runs.len() > 1 && runs.iter().all(|r| !r.is_finished()) {
-                let mut i = if barrier_epoch % 2 == 0 { 2 } else { 1 };
-                while i + 1 < runs.len() {
-                    let (head, tail) = runs.split_at_mut(i + 1);
-                    let ra = &mut head[i];
-                    let rb = &mut tail[0];
-                    if let (Some(da), Some(db)) = (ra.driver.as_mut(), rb.driver.as_mut()) {
-                        let (cost_a, cost_b) = (da.current_cost(), db.current_cost());
-                        let (temp_a, temp_b) = (da.temperature(), db.temperature());
-                        let accepted = tempering_swap_accepts(
-                            config.seed,
-                            barrier_epoch,
-                            u32::try_from(i).expect("rung index fits u32"),
-                            cost_a,
-                            cost_b,
-                            temp_a,
-                            temp_b,
-                        );
-                        if accepted {
-                            da.swap_thermal(db);
-                        }
-                        if rec_on {
-                            ra.buffer.push(Event::PortfolioSwap {
-                                epoch: barrier_epoch,
-                                start_a: ra.start,
-                                start_b: rb.start,
-                                cost_a,
-                                cost_b,
-                                temp_a,
-                                temp_b,
-                                accepted,
-                            });
-                        }
-                    }
-                    i += 2;
-                }
-            }
-            continue;
-        }
 
         // Prune verdicts, in start-index order against the baseline —
         // start 0's best-so-far. Start 0 is exempt: it carries the
@@ -998,11 +863,7 @@ mod tests {
         let stack = StackConfig::default();
         let cfg = fast_config(0xBEEF);
         let solo = exchange(&q, &a, &stack, &cfg).expect("solo run");
-        for mode in [
-            PortfolioMode::Race,
-            PortfolioMode::Coop,
-            PortfolioMode::Temper,
-        ] {
+        for mode in [PortfolioMode::Race, PortfolioMode::Coop] {
             let portfolio = exchange_portfolio(
                 &q,
                 &a,
@@ -1225,14 +1086,11 @@ mod tests {
 
     #[test]
     fn mode_tags_round_trip() {
-        for mode in [
-            PortfolioMode::Race,
-            PortfolioMode::Coop,
-            PortfolioMode::Temper,
-        ] {
+        for mode in [PortfolioMode::Race, PortfolioMode::Coop] {
             assert_eq!(PortfolioMode::parse(mode.as_str()), Some(mode));
         }
         assert_eq!(PortfolioMode::parse("anneal"), None);
+        assert_eq!(PortfolioMode::parse("temper"), None);
         assert_eq!(PortfolioMode::default(), PortfolioMode::Race);
     }
 
@@ -1244,44 +1102,42 @@ mod tests {
     }
 
     #[test]
-    fn cooperative_modes_are_thread_count_invariant() {
+    fn coop_is_thread_count_invariant() {
         let (q, a) = big_case();
         let stack = StackConfig::default();
         let cfg = fast_config(0xC0DE);
-        for mode in [PortfolioMode::Coop, PortfolioMode::Temper] {
-            let base = PortfolioConfig {
-                starts: 5,
-                prune_margin: 0.05,
-                sync_epochs: 4,
-                threads: 1,
-                mode,
-                ..PortfolioConfig::default()
-            };
-            let mut buf1 = TraceBuffer::new();
-            let serial = exchange_portfolio_traced(&q, &a, &stack, &cfg, &base, &mut buf1)
-                .expect("serial portfolio");
-            for threads in [2, 8] {
-                let mut bufn = TraceBuffer::new();
-                let threaded = exchange_portfolio_traced(
-                    &q,
-                    &a,
-                    &stack,
-                    &cfg,
-                    &PortfolioConfig {
-                        threads,
-                        ..base.clone()
-                    },
-                    &mut bufn,
-                )
-                .expect("threaded portfolio");
-                assert_eq!(threaded, serial, "mode {mode:?} threads {threads}");
-                assert_eq!(buf1.events(), bufn.events(), "mode {mode:?} trace");
-            }
+        let base = PortfolioConfig {
+            starts: 5,
+            prune_margin: 0.05,
+            sync_epochs: 4,
+            threads: 1,
+            mode: PortfolioMode::Coop,
+            ..PortfolioConfig::default()
+        };
+        let mut buf1 = TraceBuffer::new();
+        let serial = exchange_portfolio_traced(&q, &a, &stack, &cfg, &base, &mut buf1)
+            .expect("serial portfolio");
+        for threads in [2, 8] {
+            let mut bufn = TraceBuffer::new();
+            let threaded = exchange_portfolio_traced(
+                &q,
+                &a,
+                &stack,
+                &cfg,
+                &PortfolioConfig {
+                    threads,
+                    ..base.clone()
+                },
+                &mut bufn,
+            )
+            .expect("threaded portfolio");
+            assert_eq!(threaded, serial, "threads {threads}");
+            assert_eq!(buf1.events(), bufn.events(), "threads {threads} trace");
         }
     }
 
     #[test]
-    fn cooperative_winners_replay_from_the_global_initial() {
+    fn coop_winners_replay_from_the_global_initial() {
         let (q, a) = big_case();
         let stack = StackConfig::default();
         let cfg = ExchangeConfig {
@@ -1294,29 +1150,27 @@ mod tests {
             seed: 0xD0_5EED,
             ..ExchangeConfig::default()
         };
-        for mode in [PortfolioMode::Coop, PortfolioMode::Temper] {
-            let portfolio = exchange_portfolio(
-                &q,
-                &a,
-                &stack,
-                &cfg,
-                &PortfolioConfig {
-                    starts: 8,
-                    prune_margin: 0.0,
-                    sync_epochs: 8,
-                    threads: 1,
-                    mode,
-                    ..PortfolioConfig::default()
-                },
-            )
-            .expect("portfolio run");
-            let replayed = replay_journal(&a, &portfolio.journal, portfolio.best_len)
-                .expect("journal replays");
-            assert_eq!(
-                replayed, portfolio.result.assignment,
-                "mode {mode:?}: composed journal must replay to the winner"
-            );
-        }
+        let portfolio = exchange_portfolio(
+            &q,
+            &a,
+            &stack,
+            &cfg,
+            &PortfolioConfig {
+                starts: 8,
+                prune_margin: 0.0,
+                sync_epochs: 8,
+                threads: 1,
+                mode: PortfolioMode::Coop,
+                ..PortfolioConfig::default()
+            },
+        )
+        .expect("portfolio run");
+        let replayed =
+            replay_journal(&a, &portfolio.journal, portfolio.best_len).expect("journal replays");
+        assert_eq!(
+            replayed, portfolio.result.assignment,
+            "composed journal must replay to the winner"
+        );
     }
 
     #[test]
@@ -1366,96 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn temper_never_prunes_and_announces_swaps() {
-        let (q, a) = big_case();
-        let stack = StackConfig::default();
-        let cfg = fast_config(0xFADE);
-        let mut buf = TraceBuffer::new();
-        let result = exchange_portfolio_traced(
-            &q,
-            &a,
-            &stack,
-            &cfg,
-            &PortfolioConfig {
-                starts: 4,
-                prune_margin: 0.0, // would prune aggressively in race
-                sync_epochs: 6,
-                threads: 1,
-                mode: PortfolioMode::Temper,
-                ..PortfolioConfig::default()
-            },
-            &mut buf,
-        )
-        .expect("temper portfolio");
-        assert_eq!(result.pruned(), 0, "tempering never prunes a rung");
-        assert_eq!(result.starts.len(), 4, "tempering never respawns");
-        let swaps: Vec<u32> = buf
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                Event::PortfolioSwap { start_a, .. } => Some(*start_a),
-                _ => None,
-            })
-            .collect();
-        assert!(!swaps.is_empty(), "barriers must propose rung swaps");
-        // Every swap verdict re-derives from the event fields alone.
-        for e in buf.events() {
-            if let Event::PortfolioSwap {
-                epoch,
-                start_a,
-                cost_a,
-                cost_b,
-                temp_a,
-                temp_b,
-                accepted,
-                ..
-            } = e
-            {
-                assert_eq!(
-                    tempering_swap_accepts(
-                        cfg.seed, *epoch, *start_a, *cost_a, *cost_b, *temp_a, *temp_b
-                    ),
-                    *accepted,
-                    "swap verdicts are a pure function of (seed, epoch, rung, costs)"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_start_temper_is_bit_identical_to_race() {
-        let (q, a) = case();
-        let stack = StackConfig::default();
-        let cfg = fast_config(0x1ADD);
-        let race = exchange_portfolio(
-            &q,
-            &a,
-            &stack,
-            &cfg,
-            &PortfolioConfig {
-                starts: 1,
-                threads: 1,
-                ..PortfolioConfig::default()
-            },
-        )
-        .expect("race run");
-        let temper = exchange_portfolio(
-            &q,
-            &a,
-            &stack,
-            &cfg,
-            &PortfolioConfig {
-                starts: 1,
-                threads: 1,
-                mode: PortfolioMode::Temper,
-                ..PortfolioConfig::default()
-            },
-        )
-        .expect("temper run");
-        assert_eq!(temper, race, "a 1-rung ladder degenerates to race");
-    }
-
-    #[test]
     fn invalid_portfolio_config_is_rejected() {
         let (q, a) = case();
         for bad in [
@@ -1477,18 +1241,6 @@ mod tests {
             },
             PortfolioConfig {
                 kick_size: 0,
-                ..PortfolioConfig::default()
-            },
-            PortfolioConfig {
-                ladder_ratio: 0.5,
-                ..PortfolioConfig::default()
-            },
-            PortfolioConfig {
-                ladder_ratio: f64::NAN,
-                ..PortfolioConfig::default()
-            },
-            PortfolioConfig {
-                ladder_ratio: f64::INFINITY,
                 ..PortfolioConfig::default()
             },
         ] {

@@ -79,8 +79,7 @@ pub fn canonical_portfolio_params(starts: u32, prune_margin_bits: u64) -> String
 
 /// Canonical cache-key fragment of a *cooperative* portfolio mode's
 /// result-affecting parameters: the mode tag plus the crossover kick
-/// size and the tempering ladder ratio (as raw `f64` bits, same
-/// discipline as [`canonical_portfolio_params`]).
+/// size.
 ///
 /// Jobs running the default `race` mode must omit the fragment entirely
 /// — mode parameters are inert there — which keeps every pre-mode cache
@@ -88,12 +87,8 @@ pub fn canonical_portfolio_params(starts: u32, prune_margin_bits: u64) -> String
 /// non-default mode (and, as with the portfolio fragment, only for
 /// `starts > 1`).
 #[must_use]
-pub fn canonical_portfolio_mode_params(
-    mode: &str,
-    kick_size: u32,
-    ladder_ratio_bits: u64,
-) -> String {
-    format!("mode={mode}|kick={kick_size}|ladder=0x{ladder_ratio_bits:016x}|")
+pub fn canonical_portfolio_mode_params(mode: &str, kick_size: u32) -> String {
+    format!("mode={mode}|kick={kick_size}|")
 }
 
 #[cfg(test)]
@@ -151,20 +146,10 @@ mod tests {
 
     #[test]
     fn portfolio_mode_params_are_exact_and_injective() {
-        let a = canonical_portfolio_mode_params("coop", 4, 1.5f64.to_bits());
-        assert_eq!(a, "mode=coop|kick=4|ladder=0x3ff8000000000000|");
-        assert_ne!(
-            a,
-            canonical_portfolio_mode_params("temper", 4, 1.5f64.to_bits())
-        );
-        assert_ne!(
-            a,
-            canonical_portfolio_mode_params("coop", 8, 1.5f64.to_bits())
-        );
-        assert_ne!(
-            a,
-            canonical_portfolio_mode_params("coop", 4, 2.0f64.to_bits())
-        );
+        let a = canonical_portfolio_mode_params("coop", 4);
+        assert_eq!(a, "mode=coop|kick=4|");
+        assert_ne!(a, canonical_portfolio_mode_params("race", 4));
+        assert_ne!(a, canonical_portfolio_mode_params("coop", 8));
     }
 
     #[test]

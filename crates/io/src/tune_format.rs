@@ -129,12 +129,10 @@ pub struct ClassConfig {
     pub starts: u32,
     /// Portfolio prune margin.
     pub prune_margin: f64,
-    /// Portfolio mode (race / coop / temper).
+    /// Portfolio mode (race / coop).
     pub mode: PortfolioMode,
     /// Coop crossover kick size.
     pub kick_size: u32,
-    /// Temper ladder ratio.
-    pub ladder_ratio: f64,
 }
 
 impl ClassConfig {
@@ -156,7 +154,6 @@ impl ClassConfig {
             prune_margin: portfolio.prune_margin,
             mode: portfolio.mode,
             kick_size: portfolio.kick_size,
-            ladder_ratio: portfolio.ladder_ratio,
         }
     }
 
@@ -178,7 +175,6 @@ impl ClassConfig {
         portfolio.prune_margin = self.prune_margin;
         portfolio.mode = self.mode;
         portfolio.kick_size = self.kick_size;
-        portfolio.ladder_ratio = self.ladder_ratio;
     }
 
     /// The built-in defaults as a class config — what unknown classes
@@ -274,9 +270,6 @@ fn body_of(profile: &TuneProfile) -> String {
         }
         if c.kick_size != defaults.kick_size {
             out.push_str(&format!(" kick={}", c.kick_size));
-        }
-        if c.ladder_ratio.to_bits() != defaults.ladder_ratio.to_bits() {
-            out.push_str(&format!(" ladder={}", hex_bits(c.ladder_ratio)));
         }
         out.push('\n');
     }
@@ -472,7 +465,7 @@ pub fn parse_tune(text: &str) -> Result<TuneProfile, ParseError> {
                                     line,
                                     ParseErrorKind::BadOperands {
                                         keyword: "class",
-                                        expected: "mode=race|coop|temper",
+                                        expected: "mode=race|coop",
                                     },
                                 )
                             })?;
@@ -480,7 +473,6 @@ pub fn parse_tune(text: &str) -> Result<TuneProfile, ParseError> {
                         "kick" => {
                             config.kick_size = v.parse().map_err(|_| bad_number(line, v))?;
                         }
-                        "ladder" => config.ladder_ratio = parse_bits_f64(line, v)?,
                         _ => {
                             return Err(ParseError::new(
                                 line,
@@ -600,16 +592,11 @@ mod tests {
     #[test]
     fn mode_attributes_round_trip_and_default_ones_are_omitted() {
         let mut p = sample();
-        p.classes[0].1.mode = PortfolioMode::Temper;
+        p.classes[0].1.mode = PortfolioMode::Coop;
         p.classes[0].1.kick_size = 8;
-        p.classes[0].1.ladder_ratio = 2.0;
         let text = write_tune(&p);
-        assert!(text.contains(" mode=temper"), "{text}");
+        assert!(text.contains(" mode=coop"), "{text}");
         assert!(text.contains(" kick=8"), "{text}");
-        assert!(
-            text.contains(&format!(" ladder={}", hex_bits(2.0))),
-            "{text}"
-        );
         assert_eq!(parse_tune(&text).unwrap(), p);
         // Default-valued knobs never serialise: the sample profile's
         // byte stream is identical to what the pre-mode writer emitted,
@@ -618,23 +605,34 @@ mod tests {
         let default_text = write_tune(&sample());
         assert!(!default_text.contains("mode="), "{default_text}");
         assert!(!default_text.contains("kick="), "{default_text}");
-        assert!(!default_text.contains("ladder="), "{default_text}");
     }
 
     #[test]
     fn bad_mode_tag_is_typed() {
         let mut p = sample();
         p.classes[0].1.mode = PortfolioMode::Coop;
-        let text = write_tune(&p).replacen("mode=coop", "mode=boil", 1);
-        let err = parse_tune(&text).unwrap_err();
+        let text = write_tune(&p);
+        // Profiles written while `temper` was a mode carry its tag; it
+        // fails as typed as any unknown one.
+        for tag in ["boil", "temper"] {
+            let bad = text.replacen("mode=coop", &format!("mode={tag}"), 1);
+            let err = parse_tune(&bad).unwrap_err();
+            assert!(
+                matches!(
+                    err.kind,
+                    ParseErrorKind::BadOperands {
+                        keyword: "class",
+                        ..
+                    }
+                ),
+                "{tag}: {err}"
+            );
+        }
+        // So does its `ladder=` knob.
+        let bad = text.replacen(" mode=coop", " mode=coop ladder=0x3ff8000000000000", 1);
+        let err = parse_tune(&bad).unwrap_err();
         assert!(
-            matches!(
-                err.kind,
-                ParseErrorKind::BadOperands {
-                    keyword: "class",
-                    ..
-                }
-            ),
+            matches!(&err.kind, ParseErrorKind::UnknownAttribute { key } if key == "ladder"),
             "{err}"
         );
     }

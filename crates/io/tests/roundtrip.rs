@@ -69,14 +69,14 @@ fn class_config_strategy() -> impl Strategy<Value = ClassConfig> {
         (finite_f64(), finite_f64(), finite_f64(), any::<u32>()),
         (finite_f64(), finite_f64(), finite_f64(), finite_f64()),
         (any::<u32>(), finite_f64()),
-        (0u8..3, any::<u32>(), finite_f64()),
+        (any::<bool>(), any::<u32>()),
     )
         .prop_map(
             |(
                 (cooling, initial_temp_factor, final_temp_ratio, moves_per_temp),
                 (lambda, rho, phi, margin),
                 (starts, prune_margin),
-                (mode, kick_size, ladder_ratio),
+                (coop, kick_size),
             )| ClassConfig {
                 cooling,
                 initial_temp_factor,
@@ -88,13 +88,12 @@ fn class_config_strategy() -> impl Strategy<Value = ClassConfig> {
                 margin,
                 starts,
                 prune_margin,
-                mode: match mode {
-                    0 => PortfolioMode::Race,
-                    1 => PortfolioMode::Coop,
-                    _ => PortfolioMode::Temper,
+                mode: if coop {
+                    PortfolioMode::Coop
+                } else {
+                    PortfolioMode::Race
                 },
                 kick_size,
-                ladder_ratio,
             },
         )
 }

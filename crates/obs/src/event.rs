@@ -275,26 +275,6 @@ pub enum Event {
         /// The leader's best-so-far cost at the barrier.
         parent_cost: f64,
     },
-    /// A `temper`-mode portfolio proposed a Metropolis swap of thermal
-    /// states between two adjacent temperature rungs at an epoch barrier.
-    PortfolioSwap {
-        /// Sync-epoch barrier (0-based) of the proposal.
-        epoch: u32,
-        /// Start index of the colder rung.
-        start_a: u32,
-        /// Start index of the hotter rung.
-        start_b: u32,
-        /// Current (not best) cost of the colder rung's trajectory.
-        cost_a: f64,
-        /// Current cost of the hotter rung's trajectory.
-        cost_b: f64,
-        /// The colder rung's temperature at the barrier.
-        temp_a: f64,
-        /// The hotter rung's temperature at the barrier.
-        temp_b: f64,
-        /// Whether the Metropolis verdict accepted the swap.
-        accepted: bool,
-    },
     /// A `coop`-mode portfolio recomputed its adaptive prune margin at an
     /// epoch barrier from the live starts' best-cost spread.
     PortfolioMargin {
@@ -401,7 +381,6 @@ impl Event {
             Self::PortfolioStart { .. } => "portfolio_start",
             Self::PortfolioPrune { .. } => "portfolio_prune",
             Self::PortfolioCrossover { .. } => "portfolio_crossover",
-            Self::PortfolioSwap { .. } => "portfolio_swap",
             Self::PortfolioMargin { .. } => "portfolio_margin",
             Self::ReplanStart { .. } => "replan_start",
             Self::QuadrantReused { .. } => "quadrant_reused",
@@ -623,29 +602,6 @@ impl Event {
                 );
                 json_f64(out, *parent_cost);
             }
-            Self::PortfolioSwap {
-                epoch,
-                start_a,
-                start_b,
-                cost_a,
-                cost_b,
-                temp_a,
-                temp_b,
-                accepted,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"epoch\":{epoch},\"start_a\":{start_a},\"start_b\":{start_b},\"cost_a\":"
-                );
-                json_f64(out, *cost_a);
-                out.push_str(",\"cost_b\":");
-                json_f64(out, *cost_b);
-                out.push_str(",\"temp_a\":");
-                json_f64(out, *temp_a);
-                out.push_str(",\"temp_b\":");
-                json_f64(out, *temp_b);
-                let _ = write!(out, ",\"accepted\":{accepted}");
-            }
             Self::PortfolioMargin {
                 epoch,
                 margin,
@@ -811,16 +767,6 @@ mod tests {
                 epoch: 1,
                 kick: 4,
                 parent_cost: 9.0,
-            },
-            Event::PortfolioSwap {
-                epoch: 2,
-                start_a: 0,
-                start_b: 1,
-                cost_a: 9.0,
-                cost_b: 10.5,
-                temp_a: 0.5,
-                temp_b: 0.75,
-                accepted: true,
             },
             Event::PortfolioMargin {
                 epoch: 1,

@@ -106,17 +106,13 @@ pub struct JobSpec {
     pub prune_margin_bits: u64,
     /// Cooperation mode for the multi-start portfolio. `Race` (the
     /// default) is the pre-cooperative independent portfolio; `Coop`
-    /// adds crossover respawns and adaptive margins; `Temper` runs a
-    /// parallel-tempering ladder. Inert when `starts <= 1`.
+    /// adds crossover respawns and adaptive margins. Inert when
+    /// `starts <= 1`.
     pub mode: PortfolioMode,
     /// Crossover kick size (seeded adjacent swaps applied to the
     /// leader's plan on a cooperative respawn). Inert unless
     /// `mode == Coop` and `starts > 1`.
     pub kick_size: u32,
-    /// Raw `f64` bits of the tempering ladder's geometric temperature
-    /// ratio. Bits for the same reason as `prune_margin_bits`. Inert
-    /// unless `mode == Temper` and `starts > 1`.
-    pub ladder_ratio_bits: u64,
     /// Previous assignment file text (`copack plan --out` format) for
     /// an incremental replan. When set (and `exchange` is on) the
     /// worker warm-starts the anneal from the repaired previous plan
@@ -158,7 +154,6 @@ impl JobSpec {
             prune_margin_bits: PortfolioConfig::default().prune_margin.to_bits(),
             mode: PortfolioMode::Race,
             kick_size: PortfolioConfig::default().kick_size,
-            ladder_ratio_bits: PortfolioConfig::default().ladder_ratio.to_bits(),
             prev: None,
             margin_bits: 0.0f64.to_bits(),
             profile: false,
@@ -181,10 +176,6 @@ impl JobSpec {
             ),
             ("mode", self.mode != default.mode),
             ("kick_size", self.kick_size != default.kick_size),
-            (
-                "ladder_ratio_bits",
-                self.ladder_ratio_bits != default.ladder_ratio_bits,
-            ),
             ("margin_bits", self.margin_bits != default.margin_bits),
         ]
         .into_iter()
@@ -192,15 +183,13 @@ impl JobSpec {
     }
 
     /// The first tunable whose value no planner accepts, as its wire
-    /// name and what it expects instead: zero starts or kick size, a
-    /// negative or NaN prune margin or margin weight, or a ladder ratio
-    /// that is not a finite number of at least 1. Values are checked
+    /// name and what it expects instead: zero starts or kick size, or a
+    /// negative or NaN prune margin or margin weight. Values are checked
     /// whether or not the job would use them, so the CLI and the daemon
     /// refuse the same values. `None` when every tunable is valid.
     #[must_use]
     pub fn invalid_tunable(&self) -> Option<(&'static str, &'static str)> {
         let non_negative = |bits: u64| f64::from_bits(bits) >= 0.0;
-        let ladder = f64::from_bits(self.ladder_ratio_bits);
         [
             ("starts", "at least 1 start", self.starts >= 1),
             (
@@ -209,11 +198,6 @@ impl JobSpec {
                 non_negative(self.prune_margin_bits),
             ),
             ("kick_size", "at least 1 swap", self.kick_size >= 1),
-            (
-                "ladder_ratio_bits",
-                "a finite ratio >= 1.0",
-                ladder.is_finite() && ladder >= 1.0,
-            ),
             (
                 "margin_bits",
                 "a non-negative number",
@@ -299,7 +283,6 @@ pub fn cache_key_with(spec: &JobSpec, quadrant: &Quadrant, profile: Option<&Tune
                 material.push_str(&canonical_portfolio_mode_params(
                     spec.mode.as_str(),
                     spec.kick_size,
-                    spec.ladder_ratio_bits,
                 ));
             }
         }
@@ -388,7 +371,6 @@ pub fn execute_job_full(
             threads,
             mode: spec.mode,
             kick_size: spec.kick_size,
-            ladder_ratio: f64::from_bits(spec.ladder_ratio_bits),
             ..PortfolioConfig::default()
         };
         if spec.profile {
@@ -591,44 +573,32 @@ mod tests {
         // pre-cooperative keys stay byte-stable even with exotic knobs.
         let race_kicked = JobSpec {
             kick_size: 9,
-            ladder_ratio_bits: 2.0f64.to_bits(),
             ..multi.clone()
         };
         assert_eq!(cache_key(&multi, &q), cache_key(&race_kicked, &q));
 
-        // A non-default mode separates, and each knob is load-bearing.
+        // A non-default mode separates, and its kick is load-bearing.
         let coop = JobSpec {
             mode: PortfolioMode::Coop,
             ..multi.clone()
         };
-        let temper = JobSpec {
-            mode: PortfolioMode::Temper,
-            ..multi.clone()
-        };
         assert_ne!(cache_key(&multi, &q), cache_key(&coop, &q));
-        assert_ne!(cache_key(&multi, &q), cache_key(&temper, &q));
-        assert_ne!(cache_key(&coop, &q), cache_key(&temper, &q));
         let coop_kicked = JobSpec {
             kick_size: 9,
             ..coop.clone()
         };
-        let temper_steep = JobSpec {
-            ladder_ratio_bits: 2.0f64.to_bits(),
-            ..temper.clone()
-        };
         assert_ne!(cache_key(&coop, &q), cache_key(&coop_kicked, &q));
-        assert_ne!(cache_key(&temper, &q), cache_key(&temper_steep, &q));
 
         // At K=1 the whole portfolio block (mode included) is inert.
-        let single_temper = JobSpec {
+        let single_coop = JobSpec {
             starts: 1,
-            ..temper.clone()
+            ..coop.clone()
         };
         let single = JobSpec {
             exchange: true,
             ..JobSpec::new("")
         };
-        assert_eq!(cache_key(&single, &q), cache_key(&single_temper, &q));
+        assert_eq!(cache_key(&single, &q), cache_key(&single_coop, &q));
     }
 
     #[test]

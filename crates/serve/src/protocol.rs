@@ -185,10 +185,9 @@ fn write_job_fields(out: &mut String, spec: &JobSpec) {
         if spec.mode != PortfolioMode::Race {
             let _ = write!(
                 out,
-                ",\"mode\":\"{}\",\"kick_size\":{},\"ladder_ratio_bits\":{}",
+                ",\"mode\":\"{}\",\"kick_size\":{}",
                 spec.mode.as_str(),
-                spec.kick_size,
-                spec.ladder_ratio_bits
+                spec.kick_size
             );
         }
     }
@@ -323,19 +322,13 @@ fn decode_job_fields(json: &Json) -> Result<JobSpec, ServeError> {
                 .as_str()
                 .and_then(PortfolioMode::parse)
                 .ok_or_else(|| {
-                    ServeError::new(
-                        ErrorKind::BadRequest,
-                        "`mode` must be \"race\", \"coop\" or \"temper\"",
-                    )
+                    ServeError::new(ErrorKind::BadRequest, "`mode` must be \"race\" or \"coop\"")
                 })?;
         }
     }
     if let Some(kick) = field_u64("kick_size")? {
         spec.kick_size = u32::try_from(kick)
             .map_err(|_| ServeError::new(ErrorKind::BadRequest, "`kick_size` is out of range"))?;
-    }
-    if let Some(bits) = field_u64("ladder_ratio_bits")? {
-        spec.ladder_ratio_bits = bits;
     }
     if let Some(bits) = field_u64("margin_bits")? {
         spec.margin_bits = bits;
@@ -810,13 +803,6 @@ mod tests {
                 ..JobSpec::new("quadrant d2\nrow 2 1\n")
             }),
             Request::Plan(JobSpec {
-                exchange: true,
-                starts: 4,
-                mode: PortfolioMode::Temper,
-                ladder_ratio_bits: 2.0f64.to_bits(),
-                ..JobSpec::new("quadrant d3\nrow 1 2\n")
-            }),
-            Request::Plan(JobSpec {
                 class: JobClass::Bulk,
                 ..JobSpec::new("quadrant e\nrow 1 2\n")
             }),
@@ -1032,7 +1018,6 @@ mod tests {
         }));
         assert!(!race_line.contains("mode"));
         assert!(!race_line.contains("kick_size"));
-        assert!(!race_line.contains("ladder_ratio_bits"));
         // The default class is likewise invisible on the wire, and so
         // are the replan extensions when unused.
         assert!(!line.contains("class"));

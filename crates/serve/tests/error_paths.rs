@@ -74,6 +74,14 @@ fn bad_requests_are_distinguished_from_bad_frames() {
         .expect("a response");
     assert_error_frame(&line, ErrorKind::BadRequest);
 
+    // A portfolio mode that does not exist (`temper` did once) is
+    // refused, and the refusal names the modes that do.
+    let line = client
+        .raw(b"{\"op\":\"plan\",\"circuit\":\"x\",\"starts\":4,\"mode\":\"temper\"}\n")
+        .expect("a response");
+    assert_error_frame(&line, ErrorKind::BadRequest);
+    assert!(line.contains("race") && line.contains("coop"), "{line}");
+
     // Tunable values no planner accepts are refused as they decode,
     // before a cache key or a queue slot.
     let multi = JobSpec {
@@ -86,14 +94,6 @@ fn bad_requests_are_distinguished_from_bad_frames() {
             "prune_margin_bits",
             JobSpec {
                 prune_margin_bits: f64::NAN.to_bits(),
-                ..multi.clone()
-            },
-        ),
-        (
-            "ladder_ratio_bits",
-            JobSpec {
-                mode: copack_core::PortfolioMode::Temper,
-                ladder_ratio_bits: 0.5f64.to_bits(),
                 ..multi.clone()
             },
         ),
@@ -140,7 +140,6 @@ fn a_profile_job_that_sets_a_replaced_tunable_is_a_bad_request() {
         ("prune_margin_bits", 0.5f64.to_bits().to_string()),
         ("mode", "\"coop\"".to_owned()),
         ("kick_size", "3".to_owned()),
-        ("ladder_ratio_bits", 3.0f64.to_bits().to_string()),
         ("margin_bits", 0.5f64.to_bits().to_string()),
     ] {
         let line = frame.replacen(

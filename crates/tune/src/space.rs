@@ -55,10 +55,10 @@ fn deviations(base: ClassConfig) -> Vec<ClassConfig> {
         p.starts = 4;
         p.prune_margin = 0.1;
     });
-    // Cooperative portfolio modes. Each is paired with a multi-start
-    // shape (modes are inert at K = 1), so the deviation the tuner
-    // scores is "this cooperation policy on a 4-start portfolio" —
-    // directly comparable to the 4-start race point above.
+    // The cooperative portfolio mode, paired with a multi-start shape
+    // (modes are inert at K = 1), so the deviation the tuner scores is
+    // "this cooperation policy on a 4-start portfolio" — directly
+    // comparable to the 4-start race point above.
     push(&|p| {
         p.starts = 4;
         p.prune_margin = 0.1;
@@ -70,21 +70,11 @@ fn deviations(base: ClassConfig) -> Vec<ClassConfig> {
         p.mode = PortfolioMode::Coop;
         p.kick_size = 8;
     });
-    push(&|p| {
-        p.starts = 4;
-        p.mode = PortfolioMode::Temper;
-        p.ladder_ratio = 1.25;
-    });
-    push(&|p| {
-        p.starts = 4;
-        p.mode = PortfolioMode::Temper;
-        p.ladder_ratio = 2.0;
-    });
     points
 }
 
 impl TrialSpace {
-    /// The standard space: the default plus nineteen deviations — one
+    /// The standard space: the default plus seventeen deviations — one
     /// knob at a time, except the cooperative-mode points, which pair a
     /// mode with the multi-start shape it needs to be live.
     #[must_use]
@@ -140,7 +130,7 @@ impl TrialSpace {
         let mut text = String::new();
         for p in &self.points {
             text.push_str(&format!(
-                "{:016x},{:016x},{:016x},{},{:016x},{:016x},{:016x},{:016x},{},{:016x},{},{},{:016x};",
+                "{:016x},{:016x},{:016x},{},{:016x},{:016x},{:016x},{:016x},{},{:016x},{},{};",
                 p.cooling.to_bits(),
                 p.initial_temp_factor.to_bits(),
                 p.final_temp_ratio.to_bits(),
@@ -153,7 +143,6 @@ impl TrialSpace {
                 p.prune_margin.to_bits(),
                 p.mode.as_str(),
                 p.kick_size,
-                p.ladder_ratio.to_bits(),
             ));
         }
         fnv1a64(text.as_bytes())
@@ -181,7 +170,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(space.len(), 20);
+        assert_eq!(space.len(), 18);
         assert_eq!(TrialSpace::quick().len(), 4);
     }
 

@@ -97,15 +97,9 @@ fn margin_strategy() -> impl Strategy<Value = f64> {
 }
 
 /// Strategy over the cooperation modes: every contract in this file must
-/// hold for `race`, `coop`, and `temper` alike.
+/// hold for `race` and `coop` alike.
 fn mode_strategy() -> impl Strategy<Value = PortfolioMode> {
-    (0usize..3).prop_map(|i| {
-        [
-            PortfolioMode::Race,
-            PortfolioMode::Coop,
-            PortfolioMode::Temper,
-        ][i]
-    })
+    (0usize..2).prop_map(|i| [PortfolioMode::Race, PortfolioMode::Coop][i])
 }
 
 proptest! {
@@ -185,8 +179,7 @@ proptest! {
     /// cooperation mode. For `coop` this covers crossed-over slots: a
     /// crossover winner's journal is its parent's prefix plus the kick
     /// plus its own accepted moves, and the composition must still land
-    /// on the winning plan. For `temper` it covers swapped rungs, whose
-    /// journals never leave their slot by construction.
+    /// on the winning plan.
     #[test]
     fn the_winning_journal_replays_to_the_winning_plan(
         q in quadrant_strategy(2),
@@ -241,31 +234,5 @@ proptest! {
             coop.result.stats.final_cost,
             race.result.stats.final_cost
         );
-    }
-
-    /// Tempering never prunes: every rung survives to the reduction,
-    /// whatever the margin knob says, and the winner replays. Rung 0
-    /// never swaps, so it anneals exactly as the single start does, and
-    /// the winner is at worst that plain anneal.
-    #[test]
-    fn tempering_rungs_all_survive(
-        q in quadrant_strategy(1),
-        seed in any::<u64>(),
-        starts in 2u32..=5,
-        margin in margin_strategy(),
-    ) {
-        let won = run_mode(&q, seed, starts, margin, 1, PortfolioMode::Temper);
-        prop_assert_eq!(won.pruned(), 0);
-        prop_assert_eq!(won.starts.len(), starts as usize);
-        let initial = dfa(&q, 1).expect("dfa");
-        let replayed = replay_journal(&initial, &won.journal, won.best_len).expect("replays");
-        prop_assert_eq!(&replayed, &won.result.assignment);
-        let solo = run_mode(&q, seed, 1, margin, 1, PortfolioMode::Race);
-        prop_assert_eq!(
-            won.starts[0].best_cost.to_bits(),
-            solo.result.stats.final_cost.to_bits(),
-            "rung 0 must anneal exactly as the single start"
-        );
-        prop_assert!(won.result.stats.final_cost <= solo.result.stats.final_cost);
     }
 }

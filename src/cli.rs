@@ -63,8 +63,8 @@ USAGE:
 
   copack plan <circuit-file> [--method dfa|ifa|random] [--seed N]
               [--slack N] [--exchange] [--psi N] [--starts K]
-              [--prune-margin F] [--portfolio-mode race|coop|temper]
-              [--kick-size N] [--ladder-ratio F] [--margin-weight F]
+              [--prune-margin F] [--portfolio-mode race|coop]
+              [--kick-size N] [--margin-weight F]
               [--profile FILE] [--out FILE] [--svg FILE] [--package]
               [--threads N] [--trace FILE] [--metrics]
       Run the congestion-driven assignment (default: dfa) and optionally
@@ -78,11 +78,9 @@ USAGE:
       `race` (the default) keeps the starts independent; `coop` respawns
       pruned starts from the current leader's plan perturbed by a seeded
       --kick-size swap kick and adapts the prune margin to the observed
-      cross-start spread; `temper` runs a parallel-tempering ladder
-      (rung temperatures scale by --ladder-ratio, default 1.5) with
-      deterministic Metropolis swaps at epoch boundaries and no pruning.
-      Every mode honours the same determinism contract: byte-identical
-      output for every --threads value and across reruns. With --package, plan all four quadrants of a
+      cross-start spread. Both modes honour the same determinism
+      contract: byte-identical output for every --threads value and
+      across reruns. With --package, plan all four quadrants of a
       uniform package and report the package-level IR-drop and cut-line
       congestion; --threads caps the worker threads (0 = available
       parallelism, 1 = serial; the result is identical for every thread
@@ -93,8 +91,8 @@ USAGE:
       (unknown classes fall back to the defaults), as `submit
       --use-profile` does on a daemon serving that profile. The profile
       sets the portfolio and margin knobs, so --profile refuses
-      --starts, --prune-margin, --portfolio-mode, --kick-size,
-      --ladder-ratio and --margin-weight; --xseed and --psi still apply.
+      --starts, --prune-margin, --portfolio-mode, --kick-size and
+      --margin-weight; --xseed and --psi still apply.
       The report is the one `submit` prints for the same flags, plus a
       `tuned profile applied` line.
 
@@ -146,7 +144,7 @@ USAGE:
       it on every family member, so a profile can never regress a
       family instance. The emitted profile is byte-identical for every
       --threads value and across reruns. --quick sweeps a 4-point
-      space (CI smoke); the default space has 20 points.
+      space (CI smoke); the default space has 18 points.
 
   copack fuzz [--budget-secs N] [--cases N] [--seed S] [--corpus DIR]
               [--trace FILE] [--metrics]
@@ -181,15 +179,15 @@ USAGE:
   copack submit <circuit-file> [--addr HOST:PORT] [--method dfa|ifa|random]
                 [--seed N] [--slack N] [--exchange] [--psi N] [--xseed N]
                 [--starts K] [--prune-margin F]
-                [--portfolio-mode race|coop|temper] [--kick-size N]
-                [--ladder-ratio F] [--margin-weight F]
+                [--portfolio-mode race|coop] [--kick-size N]
+                [--margin-weight F]
                 [--prev FILE] [--use-profile] [--timeout-ms N]
                 [--class interactive|bulk] [--out FILE]
       Submit one planning job to a running daemon and print its report.
       The planning flags mirror `copack plan`; --xseed seeds the exchange
       pass, --starts/--prune-margin select the portfolio (part of the
-      daemon's cache key, as are --portfolio-mode/--kick-size/
-      --ladder-ratio when a non-default mode is chosen),
+      daemon's cache key, as are --portfolio-mode/--kick-size when a
+      non-default mode is chosen),
       --timeout-ms overrides the daemon's default
       budget, --class picks the admission class (interactive jobs are
       prioritised, bulk jobs never starve; the result is identical
@@ -258,11 +256,10 @@ struct Options {
     flags: Vec<(String, Option<String>)>,
 }
 
-/// Flags that take a value; everything else `--x` is boolean.
-const VALUED: [&str; 35] = [
+/// Flags that take a value.
+const VALUED: [&str; 34] = [
     "--portfolio-mode",
     "--kick-size",
-    "--ladder-ratio",
     "--prev",
     "--profile",
     "--rounds",
@@ -297,6 +294,17 @@ const VALUED: [&str; 35] = [
     "--class",
 ];
 
+/// Flags that take no value. Any `--x` in neither list is refused, so a
+/// misspelt flag fails instead of being ignored.
+const BOOLEAN: [&str; 6] = [
+    "--exchange",
+    "--metrics",
+    "--package",
+    "--quick",
+    "--stream",
+    "--use-profile",
+];
+
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
@@ -308,8 +316,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .next()
                     .ok_or_else(|| format!("flag --{flag} needs a value"))?;
                 flags.push((flag.to_owned(), Some(value.clone())));
-            } else {
+            } else if BOOLEAN.contains(&arg.as_str()) {
                 flags.push((flag.to_owned(), None));
+            } else {
+                return Err(format!("unknown flag --{flag}"));
             }
         } else {
             positional.push(arg.clone());
@@ -423,12 +433,11 @@ fn stack_config(opts: &Options) -> Result<StackConfig, String> {
 /// The tunables a tuning profile replaces, as (flag, [`JobSpec`] field
 /// name): a profile job refuses the flags, and a value no planner
 /// accepts is reported under its flag.
-const PROFILE_TUNABLES: [(&str, &str); 6] = [
+const PROFILE_TUNABLES: [(&str, &str); 5] = [
     ("starts", "starts"),
     ("prune-margin", "prune_margin_bits"),
     ("portfolio-mode", "mode"),
     ("kick-size", "kick_size"),
-    ("ladder-ratio", "ladder_ratio_bits"),
     ("margin-weight", "margin_bits"),
 ];
 
@@ -458,12 +467,9 @@ fn job_spec_from_options(opts: &Options, profile_flag: &str) -> Result<JobSpec, 
         mode: match opts.value("portfolio-mode") {
             None => default.mode,
             Some(tag) => PortfolioMode::parse(tag)
-                .ok_or_else(|| format!("unknown portfolio mode `{tag}` (race|coop|temper)"))?,
+                .ok_or_else(|| format!("unknown portfolio mode `{tag}` (race|coop)"))?,
         },
         kick_size: opts.num("kick-size", default.kick_size)?,
-        ladder_ratio_bits: opts
-            .num("ladder-ratio", f64::from_bits(default.ladder_ratio_bits))?
-            .to_bits(),
         psi: stack_config(opts)?.tiers,
         margin_bits: opts.num("margin-weight", 0.0f64)?.to_bits(),
         exchange_seed: opts.num("xseed", default.exchange_seed)?,
@@ -1288,6 +1294,15 @@ mod tests {
         assert!(run(&s(&["--help"])).unwrap().contains("USAGE"));
         assert!(run(&[]).unwrap().contains("USAGE"));
         assert!(run(&s(&["frob"])).unwrap_err().contains("unknown command"));
+        // A flag in neither list is refused before any file is read,
+        // misspelt or removed alike.
+        for (args, flag) in [
+            (&["--exchnage", "--strats=8"][..], "--exchnage"),
+            (&["--ladder-ratio", "1.25"][..], "--ladder-ratio"),
+        ] {
+            let err = run(&s(&[&["plan", "c1.circuit"][..], args].concat())).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag}"));
+        }
     }
 
     #[test]
@@ -1321,6 +1336,10 @@ mod tests {
                 "--prune-margin expects a non-negative number",
             ),
             (["--psi", "0"], "--psi expects at least 1 tier"),
+            (
+                ["--portfolio-mode", "temper"],
+                "unknown portfolio mode `temper` (race|coop)",
+            ),
         ] {
             let planning = ["--exchange", "--starts", "4", bad[0], bad[1]];
             let plan = run(&s(&[&["plan", circuit][..], &planning].concat())).unwrap_err();
@@ -1388,7 +1407,6 @@ mod tests {
             ("--prune-margin", "0.5"),
             ("--portfolio-mode", "coop"),
             ("--kick-size", "3"),
-            ("--ladder-ratio", "3.0"),
             ("--margin-weight", "0.5"),
         ] {
             for (args, switch) in [

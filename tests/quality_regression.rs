@@ -420,25 +420,23 @@ fn portfolio_of_eight_never_loses_to_a_single_start_on_any_circuit() {
 }
 
 /// The cooperative-mode quality chain, per Table 1 circuit × three
-/// seeds: at equal total move budget (every mode runs the same K-start
-/// schedule — tempering only re-scales rung temperatures, which leaves
-/// the step count unchanged, and coop replaces race's fresh respawns
-/// with crossover respawns of the same remaining length), the `coop`
-/// winner must not lose to `race` and the `temper` winner must not lose
-/// to `coop` beyond a small tolerance band. The band exists because the
-/// chain is a statistical dominance claim, not an invariant: a fresh
+/// seeds: at equal total move budget (both modes run the same K-start
+/// schedule, and coop replaces race's fresh respawns with crossover
+/// respawns of the same remaining length), the `coop` winner must not
+/// lose to `race` beyond a small tolerance band. The band exists because
+/// the chain is a statistical dominance claim, not an invariant: a fresh
 /// race respawn can get lucky where a crossover respawn inherits a
-/// local basin. Recorded worst ratios at these seeds are ≤ 1.0 for
-/// every link (cooperation usually *wins*); the band tops out a few
-/// percent above parity so a real regression — a broken kick, a ladder
-/// that stops mixing — fails loudly with the verdict table.
+/// local basin. Recorded worst ratios at these seeds are ≤ 1.0
+/// (cooperation usually *wins*); the band tops out a few percent above
+/// parity so a real regression — a broken kick — fails loudly with the
+/// verdict table.
 #[test]
 fn cooperative_modes_form_a_quality_chain_on_every_circuit() {
     // One discrete cost quantum of additive slack (as the replan bands
     // use), so near-parity links on cheap circuits don't flap. The
-    // schedule is the Table 3 test flow's — deep enough for every mode
-    // to converge; at these seeds all three find the same winner on
-    // every circuit, so the recorded ratios are exactly 1.0.
+    // schedule is the Table 3 test flow's — deep enough for both modes
+    // to converge; at these seeds both find the same winner on every
+    // circuit, so the recorded ratios are exactly 1.0.
     let base_config = ExchangeConfig {
         schedule: Schedule {
             moves_per_temp_per_finger: 1,
@@ -456,7 +454,6 @@ fn cooperative_modes_form_a_quality_chain_on_every_circuit() {
         let q = c.build_quadrant().expect("circuit builds");
         let initial = assign(&q, AssignMethod::dfa_default()).expect("dfa");
         let mut worst_coop: f64 = 0.0;
-        let mut worst_temper: f64 = 0.0;
         for &seed in &EXCHANGE_SEEDS {
             let mut config = base_config.clone();
             config.seed = seed;
@@ -480,20 +477,12 @@ fn cooperative_modes_form_a_quality_chain_on_every_circuit() {
             };
             let race = run(PortfolioMode::Race);
             let coop = run(PortfolioMode::Coop);
-            let temper = run(PortfolioMode::Temper);
             worst_coop = worst_coop.max(coop / (race + slack));
-            worst_temper = worst_temper.max(temper / (coop + slack));
         }
         checks.push(Check {
             circuit: reference.name,
             metric: "coop/race ratio",
             actual: worst_coop,
-            band: ratio_band,
-        });
-        checks.push(Check {
-            circuit: reference.name,
-            metric: "temper/coop ratio",
-            actual: worst_temper,
             band: ratio_band,
         });
     }
@@ -561,7 +550,7 @@ fn coop_crossover_escapes_the_shared_local_minimum_on_circuit_1() {
 }
 
 /// `--portfolio-mode race` is the pre-cooperative portfolio, bit for
-/// bit: an explicit `Race` with arbitrary (inert) kick/ladder knobs
+/// bit: an explicit `Race` with an arbitrary (inert) kick size
 /// must reproduce the default-config result exactly on every circuit —
 /// the regression pin that keeps every pre-PR golden, cache key, and
 /// oracle honest now that the mode enum exists.
@@ -592,8 +581,7 @@ fn race_mode_is_bit_identical_to_the_pre_mode_portfolio() {
             starts: 8,
             threads: 1,
             mode: PortfolioMode::Race,
-            kick_size: 17,     // inert outside coop
-            ladder_ratio: 3.5, // inert outside temper
+            kick_size: 17, // inert outside coop
             ..PortfolioConfig::default()
         });
         assert_eq!(

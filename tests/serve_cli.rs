@@ -128,13 +128,12 @@ fn served_plans_are_byte_identical_to_local_plans_and_repeat_as_cache_hits() {
     // Across the planning flags, on a second daemon: `plan` prints the
     // report `submit` returns, line for line, and writes the same order.
     let (addr, daemon) = start_daemon(&dir, "flags", &["--workers", "2"]);
-    let flag_sets: [&[&str]; 7] = [
+    let flag_sets: [&[&str]; 6] = [
         &["--method", "ifa"],
         &["--method", "random"],
         &["--psi", "4"],
         &["--starts", "4", "--portfolio-mode", "race"],
         &["--starts", "4", "--portfolio-mode", "coop"],
-        &["--starts", "4", "--portfolio-mode", "temper"],
         &["--margin-weight", "0.5"],
     ];
     for flags in flag_sets {
